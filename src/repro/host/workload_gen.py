@@ -41,7 +41,7 @@ try:  # vectorized emission chains; pure-python fallback below
 except ImportError:  # pragma: no cover - numpy is an optional dep
     _np = None
 
-from ..net.flow import FiveTuple
+from ..net.flow import PROTO_TCP, FiveTuple
 from ..net.packet import Packet, PacketFactory
 
 __all__ = ["FlowSpec", "WorkloadProfile", "TraceWorkload", "WORKLOAD_PRESETS"]
@@ -197,6 +197,14 @@ class TraceWorkload:
         self._flow_seq = 0
         self._psize = profile.packet_size
         self._gap = profile.packet_size * 8.0 / profile.flow_rate_limit_bps
+        # Bounded-Pareto inverse-CDF constants: each is the exact float
+        # the per-draw expression computes, so sizes stay bit-identical.
+        a = profile.pareto_alpha
+        lo, hi = profile.min_flow_bytes, profile.max_flow_bytes
+        self._pareto = (
+            hi ** a, lo ** a, (hi * lo) ** a, -1.0 / a, int(lo), int(hi)
+        )
+        self._src_prefix = f"10.{vf_index}."
         # Batched-engine state.
         self._ledgers: "deque[_WindowLedger]" = deque()
         #: Active pacing cursors: [next_instant, packets_left, flow,
@@ -254,22 +262,27 @@ class TraceWorkload:
 
     def sample_flow_size(self) -> int:
         """Draw one bounded-Pareto flow size in bytes."""
-        a = self.profile.pareto_alpha
-        lo, hi = self.profile.min_flow_bytes, self.profile.max_flow_bytes
+        hi_a, lo_a, hilo_a, inv, lo, hi = self._pareto
         u = self._rng.random()
-        # Inverse CDF of the bounded Pareto.
-        x = (-(u * (hi ** a) - u * (lo ** a) - (hi ** a)) / ((hi * lo) ** a)) ** (-1.0 / a)
-        return max(int(lo), min(int(hi), int(x)))
+        # Inverse CDF of the bounded Pareto:
+        # (-(u*hi^a - u*lo^a - hi^a) / (hi*lo)^a) ** (-1/a).
+        x = int((-(u * hi_a - u * lo_a - hi_a) / hilo_a) ** inv)
+        if x > hi:
+            x = hi
+        return lo if x < lo else x
 
     def _mint_flow(self) -> FiveTuple:
         self._flow_seq += 1
         seq = self._flow_seq
-        return FiveTuple(
-            f"10.{self.vf_index}.{(seq >> 8) & 0xFF}.{seq & 0xFF}",
+        # tuple.__new__ skips the named tuple's Python-level __new__;
+        # the fields are FiveTuple's, proto included.
+        return tuple.__new__(FiveTuple, (
+            f"{self._src_prefix}{(seq >> 8) & 0xFF}.{seq & 0xFF}",
             self.dst_ip,
             10_000 + (seq % 50_000),
             5001,
-        )
+            PROTO_TCP,
+        ))
 
     # ------------------------------------------------------------------
     # tallies (ledger-folded in batched mode, plain bases otherwise)
@@ -406,6 +419,11 @@ class TraceWorkload:
             if n_pkts == 0:
                 ends.append(t0)  # degenerate zero-byte flow
                 continue
+            if n_pkts == 1:
+                # Sent whole at t0, inside this window: no pacing
+                # cursor, just (instant, flow, payload) for step 2.
+                cursors.append((t0, flow, size))
+                continue
             cursors.append([t0, n_pkts, flow, size - (n_pkts - 1) * psize])
         if not cursors:
             if starts:
@@ -424,6 +442,16 @@ class TraceWorkload:
         payloads_all: List[int] = []
         keep: List[List] = []
         for cur in cursors:
+            if cur.__class__ is tuple:
+                # A single-packet flow admitted above: what the walk
+                # below would do for one packet left before ``end``.
+                t, flow, payload = cur
+                times_all.append(t)
+                flows_all.append(flow)
+                ends.append(t)
+                mints_all.append(payload if payload >= 64 else 64)
+                payloads_all.append(payload)
+                continue
             t = cur[0]
             if t >= end:
                 keep.append(cur)

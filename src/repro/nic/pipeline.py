@@ -263,10 +263,6 @@ class NicPipeline:
         fast_handle = app.fast_handler() if fast else None
         self._fast_handle = fast_handle
         self._arrive_dma = self._arrive_fast if fast else self._arrive
-        #: Virtual-clock override for deferred drops (the fluid lane
-        #: replays completions at their original timestamps); read by
-        #: :meth:`_drop`'s lazy buffer-return branch. None = wall clock.
-        self._drop_now_override = None
         worker = self._worker_fast if fast_handle is not None else self._worker
         self._workers = [sim.process(worker(i)) for i in range(config.n_workers)]
         # The fluid fast-forward lane (DESIGN.md §7) engages only when
@@ -657,13 +653,8 @@ class NicPipeline:
         if release_buffer:
             if self.fast_path:
                 # Lazy route: same effective relink time as release()
-                # (now + recycle delay), no simulator event. The fluid
-                # lane overrides the clock when replaying a deferred
-                # drop at its original completion time.
-                now = self._drop_now_override
-                if now is None:
-                    now = self.sim._now
-                self.buffers.release_at(now)
+                # (now + recycle delay), no simulator event.
+                self.buffers.release_at(self.sim._now)
             else:
                 self.buffers.release()
         if self.on_drop is not None:

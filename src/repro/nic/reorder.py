@@ -11,7 +11,7 @@ whole egress.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..net.packet import Packet
 
@@ -22,7 +22,9 @@ class ReorderBuffer:
     """In-order release of out-of-order completions.
 
     ``emit`` is called synchronously (in ticket order) with each packet
-    that should proceed to the Tx ring.
+    that should proceed to the Tx ring. Callers that emit on their own
+    (the NIC fluid lane) use :meth:`release` instead of :meth:`complete`
+    and send the returned run themselves.
     """
 
     def __init__(
@@ -57,65 +59,75 @@ class ReorderBuffer:
         self._next_ticket += 1
         return ticket
 
+    def release(self, ticket: int, packet: Optional[Packet]) -> List[Packet]:
+        """Report a finished ticket and return the run it frees.
+
+        The run lists the packets now due at the Tx ring, in ticket
+        order: *packet* itself when *ticket* is head of line, then every
+        parked completion that follows it without a gap. ``None``
+        (dropped) slots free their ticket and are skipped. An
+        out-of-order ticket is parked and frees nothing. The caller
+        emits the run; :meth:`complete` is this plus the emission.
+        """
+        run = self._take(ticket, packet)
+        if self._next_release > ticket + 1 and self._trace is not None:
+            self._trace_release()
+        return run
+
     def complete(self, ticket: int, packet: Optional[Packet]) -> None:
-        """Report a finished ticket; ``None`` means the packet was
-        dropped and only frees the slot."""
-        if ticket < self._next_release or ticket in self._pending:
+        """Report a finished ticket and emit the run it frees; ``None``
+        means the packet was dropped and only frees the slot."""
+        # A head-of-line completion with nothing parked goes out on its
+        # own; one that may unpark a run goes out as one burst.
+        burst = self._emit_burst is not None and bool(self._pending)
+        run = self._take(ticket, packet)
+        if burst:
+            if run:
+                self._emit_burst(run)
+        else:
+            emit = self._emit
+            for released in run:
+                emit(released)
+        if self._next_release > ticket + 1 and self._trace is not None:
+            self._trace_release()
+
+    def _take(self, ticket: int, packet: Optional[Packet]) -> List[Packet]:
+        """:meth:`release` without the release trace, which
+        :meth:`complete` records after emitting the run."""
+        pending = self._pending
+        if ticket < self._next_release or ticket in pending:
             raise ValueError(f"ticket {ticket} completed twice")
         if ticket != self._next_release:
             # Out of order: park until every earlier ticket completes.
             # Only these completions count toward the watermark — a
             # head-of-line completion never waits.
-            self._pending[ticket] = packet
-            if len(self._pending) > self.max_parked:
-                self.max_parked = len(self._pending)
+            pending[ticket] = packet
+            if len(pending) > self.max_parked:
+                self.max_parked = len(pending)
             if self._trace is not None:
                 self._trace.emit(
                     self._sim._now, "nic.reorder", "park",
-                    ticket=ticket, parked=len(self._pending),
+                    ticket=ticket, parked=len(pending),
                     in_flight=self._next_ticket - self._next_release,
                 )
-            return
-        # Head of line: release immediately (the common case touches
-        # neither the dict nor the tracer), then drain any parked run.
-        self._next_release = ticket + 1
-        if not self._pending:
-            if packet is not None:
-                self._emit(packet)
-            return
-        if self._emit_burst is not None:
-            # Batched release: the head-of-line packet plus the parked
-            # run go out in one burst. Same packets, same order.
-            burst = [packet] if packet is not None else []
-            released_any = False
-            while self._next_release in self._pending:
-                released = self._pending.pop(self._next_release)
-                self._next_release += 1
-                released_any = True
-                if released is not None:
-                    burst.append(released)
-            if burst:
-                self._emit_burst(burst)
-            if released_any and self._trace is not None:
-                self._trace.emit(
-                    self._sim._now, "nic.reorder", "release",
-                    next_release=self._next_release, parked=len(self._pending),
-                )
-            return
-        if packet is not None:
-            self._emit(packet)
-        released_any = False
-        while self._next_release in self._pending:
-            released = self._pending.pop(self._next_release)
-            self._next_release += 1
-            released_any = True
+            return []
+        # Head of line: release it, then drain the parked run behind it
+        # (the common case never touches the dict).
+        run = [] if packet is None else [packet]
+        ticket += 1
+        while ticket in pending:
+            released = pending.pop(ticket)
+            ticket += 1
             if released is not None:
-                self._emit(released)
-        if released_any and self._trace is not None:
-            self._trace.emit(
-                self._sim._now, "nic.reorder", "release",
-                next_release=self._next_release, parked=len(self._pending),
-            )
+                run.append(released)
+        self._next_release = ticket
+        return run
+
+    def _trace_release(self) -> None:
+        self._trace.emit(
+            self._sim._now, "nic.reorder", "release",
+            next_release=self._next_release, parked=len(self._pending),
+        )
 
     @property
     def in_flight(self) -> int:

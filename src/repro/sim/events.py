@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from operator import gt
 from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
@@ -267,20 +268,23 @@ class EventQueue:
         """
         if run.cancelled:
             raise SimulationError("cannot merge into a cancelled EventRun")
-        counter = self._counter
-        items = run._items
-        last = None
-        new: List[Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]] = []
-        for time, fn, args in entries:
-            if last is not None and time < last:
-                raise SimulationError(
-                    f"EventRun entries must be time-sorted ({time} < {last})"
-                )
-            last = time
-            new.append((time, next(counter), fn, args))
-        if not new:
+        times = [entry[0] for entry in entries]
+        if any(map(gt, times, itertools.islice(times, 1, None))):
+            last, time = next(
+                pair for pair in zip(times, times[1:]) if pair[0] > pair[1]
+            )
+            raise SimulationError(
+                f"EventRun entries must be time-sorted ({time} < {last})"
+            )
+        if not times:
             return
+        # zip stops at the end of *entries* before drawing another seq.
+        new = [
+            (time, seq, fn, args)
+            for (time, fn, args), seq in zip(entries, self._counter)
+        ]
         self._live += len(new)
+        items = run._items
         if not items or items[-1][0] <= new[0][0]:
             # Pure append: every pending item fires no later than the
             # first new one (new seqs are larger, so an equal-time tail
@@ -289,7 +293,12 @@ class EventQueue:
         else:
             # In-place sorted merge — the event loop may hold a
             # reference to this deque, so never rebind ``_items``.
-            merged = list(heapq.merge(list(items), new))
+            # ``(time, seq)`` keys are unique, so sorting the two
+            # sorted runs (one linear timsort merge) never compares
+            # callbacks and yields exactly the ``heapq.merge`` order.
+            merged = list(items)
+            merged += new
+            merged.sort()
             items.clear()
             items.extend(merged)
         if run._executing:

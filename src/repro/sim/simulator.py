@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 from typing import Any, Callable, Optional
 
@@ -180,6 +181,15 @@ class Simulator:
         queue's zero-delay FIFO and the time heap inline (no per-event
         ``peek``/``pop`` method calls), preserving the exact
         ``(time, seq)`` order a single priority queue would produce.
+
+        The cyclic garbage collector is suspended for the loop and
+        restored to its prior state on return (raise included). Events
+        create no reference cycles (``tests/test_sim_gc.py`` enforces
+        it), so the collections the loop's allocations would trigger
+        find nothing, yet each still walks its generation's
+        containers. ``gc.disable()`` is process-wide, so simulators
+        must not run on several threads at once; nothing in this
+        package does. See DESIGN.md §7.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
@@ -194,6 +204,8 @@ class Simulator:
         horizon = float("inf") if until is None else until
         self._horizon = horizon
         executed = 0
+        gc_enabled = gc.isenabled()
+        gc.disable()
         try:
             while not self._stopped:
                 if nowq:
@@ -310,6 +322,8 @@ class Simulator:
         finally:
             self._running = False
             self.events_executed += executed
+            if gc_enabled:
+                gc.enable()
         return self._now
 
     def stop(self) -> None:

@@ -146,8 +146,15 @@ class Classifier:
     def classify(self, packet: Packet) -> Optional[str]:
         """Leaf class id for *packet*, or ``None`` on no match."""
         self.lookups += 1
+        leaf_id = self.first_match(packet)
+        if leaf_id is None:
+            self.misses += 1
+        return leaf_id
+
+    def first_match(self, packet: Packet) -> Optional[str]:
+        """:meth:`classify` without touching ``lookups``/``misses``: a
+        side-effect-free probe (the NIC fluid lane's miss pre-walk)."""
         for rule in self._rules:
             if rule.match.matches(packet):
                 return rule.flowid
-        self.misses += 1
         return None

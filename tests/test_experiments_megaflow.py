@@ -5,8 +5,11 @@ The full-scale run (a million flows) lives in
 on a short horizon: every engine combination — batched vs process
 generation, fluid lane on vs off, sketch vs exact stats — produces
 identical traffic tallies, and the cheap combinations only cut kernel
-events.
+events. Two golden runs pin exact outcomes at the benchmark's size.
 """
+
+import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -89,3 +92,79 @@ class TestResultShape:
         from repro.experiments.campaign.spec import REGISTRY
 
         assert "megaflow" in REGISTRY
+
+
+#: Exact outcomes of a 0.15-nominal-second run (the benchmark's
+#: megaflow size), recorded before the fluid lane released parked
+#: reorder runs itself. Seed 2024 is the one whose event count moves
+#: if a released run's deliveries skip ``PacketSink.receive_later``
+#: (its ``fold_interval`` re-arm); seed 7 does not see that.
+GOLDEN_DURATION = 0.15
+GOLDEN = {
+    7: {
+        "events": 13_490,
+        "submitted": 150_770,
+        "delivered": 141_885,
+        "dropped": 8_885,
+        "bins": 439,
+        "bins_sha256": "24912375b078d45c18170729fc6d315e7c5f401eaad698a0e53ed3b56f520315",
+        "count": 141_885,
+        "sum": 4635.5526495675285,
+        "min": 0.002974439999997358,
+        "max": 0.23759565735926813,
+        "mean": 0.032671196035997156,
+        "m2": 322.0823362056986,
+        "max_parked": 5,
+        "tail_drops": 0,
+        "max_occupancy": 1_275,
+        "min_free": 11_852,
+    },
+    2024: {
+        "events": 10_167,
+        "submitted": 125_995,
+        "delivered": 125_994,
+        "dropped": 1,
+        "bins": 210,
+        "bins_sha256": "f7c86bb3d4fa1ea3352650a16b0693b6038288e1ac826bbbe1ca2af90f5617e6",
+        "count": 125_994,
+        "sum": 526.3198173617875,
+        "min": 0.002974439999997358,
+        "max": 0.024149232163861,
+        "mean": 0.004177340328601406,
+        "m2": 0.8508762042108013,
+        "max_parked": 4,
+        "tail_drops": 0,
+        "max_occupancy": 129,
+        "min_free": 13_004,
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN))
+def test_golden_run(seed):
+    """Kernel events, the sink's delay sketch and the egress
+    high-water marks, exactly (floats compared bit for bit)."""
+    setup = replace(megaflow.DEFAULT_SETUP, seed=seed)
+    sim, nic, sink, _ = megaflow.build(setup, duration=GOLDEN_DURATION)
+    sim.run(until=GOLDEN_DURATION * setup.scale * 1.02)
+    sketch = sink.delay_sketch()
+    bins = sorted(sketch._bins.items())
+    observed = {
+        "events": sim.events_executed,
+        "submitted": nic.submitted,
+        "delivered": sink.total_packets,
+        "dropped": nic.dropped,
+        "bins": len(bins),
+        "bins_sha256": hashlib.sha256(repr(bins).encode()).hexdigest(),
+        "count": sketch.count,
+        "sum": sketch._sum,
+        "min": sketch._min,
+        "max": sketch._max,
+        "mean": sketch._mean,
+        "m2": sketch._m2,
+        "max_parked": nic.reorder.max_parked,
+        "tail_drops": nic.tx_ring.tail_drops,
+        "max_occupancy": nic.tx_ring.max_occupancy,
+        "min_free": nic.buffers.min_free,
+    }
+    assert observed == GOLDEN[seed]

@@ -6,7 +6,7 @@ from repro.errors import BufferExhausted, ConfigError
 from repro.net import FiveTuple, PacketFactory
 from repro.net.packet import DropReason
 from repro.nic import BufferPool, CycleCosts, MemoryHierarchy, NicConfig, ReorderBuffer, RxQueue, TxRing
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
 
 
 @pytest.fixture
@@ -188,6 +188,96 @@ class TestReorderBuffer:
         assert released == packets
         assert reorder.parked == 0
         assert reorder.max_parked == 4  # watermark survives the drain
+
+    def test_burst_release_only_when_a_run_may_unpark(self, factory):
+        emitted, bursts = [], []
+        reorder = ReorderBuffer(emitted.append, emit_burst=bursts.append)
+        t0, t1, t2, t3 = (reorder.take_ticket() for _ in range(4))
+        p0, p1, p2, p3 = (make_packet(factory) for _ in range(4))
+        reorder.complete(t0, p0)  # nothing parked: a lone emit
+        assert emitted == [p0] and bursts == []
+        reorder.complete(t2, p2)
+        reorder.complete(t1, p1)  # unparks t2 behind it
+        assert bursts == [[p1, p2]]
+        reorder.complete(t3, p3)
+        assert emitted == [p0, p3]
+
+
+class TestReorderRelease:
+    """``release``: the completion bookkeeping of ``complete`` without
+    the emission — the caller sends the returned run itself."""
+
+    def _buffer(self):
+        def never(*_):
+            raise AssertionError("release() must not emit")
+
+        return ReorderBuffer(never, emit_burst=never)
+
+    def test_head_of_line_returns_itself(self, factory):
+        reorder = self._buffer()
+        t0 = reorder.take_ticket()
+        p0 = make_packet(factory)
+        assert reorder.release(t0, p0) == [p0]
+        assert reorder.in_flight == 0
+
+    def test_returns_the_in_order_run(self, factory):
+        reorder = self._buffer()
+        t0, t1, t2, t3 = (reorder.take_ticket() for _ in range(4))
+        p0, p1, p2, p3 = (make_packet(factory) for _ in range(4))
+        assert reorder.release(t2, p2) == []
+        assert reorder.release(t1, p1) == []
+        assert reorder.release(t0, p0) == [p0, p1, p2]
+        assert reorder.release(t3, p3) == [p3]
+        assert reorder.parked == 0 and reorder.in_flight == 0
+
+    def test_parks_out_of_order_tickets(self, factory):
+        reorder = self._buffer()
+        tickets = [reorder.take_ticket() for _ in range(4)]
+        for ticket in tickets[:0:-1]:
+            assert reorder.release(ticket, make_packet(factory)) == []
+        assert reorder.parked == 3
+        assert reorder.max_parked == 3
+        assert reorder.in_flight == 4
+
+    def test_skips_dropped_slots(self, factory):
+        reorder = self._buffer()
+        t0, t1, t2, t3 = (reorder.take_ticket() for _ in range(4))
+        p2 = make_packet(factory)
+        reorder.release(t1, None)
+        reorder.release(t2, p2)
+        reorder.release(t3, None)
+        assert reorder.release(t0, None) == [p2]  # head drop frees the run
+        assert reorder.parked == 0 and reorder.in_flight == 0
+
+    def test_stops_at_the_first_gap(self, factory):
+        reorder = self._buffer()
+        t0, t1, t2 = (reorder.take_ticket() for _ in range(3))
+        p0, p2 = make_packet(factory), make_packet(factory)
+        reorder.release(t2, p2)
+        assert reorder.release(t0, p0) == [p0]  # t1 still outstanding
+        assert reorder.parked == 1
+
+    def test_double_completion_rejected(self, factory):
+        reorder = self._buffer()
+        t0, t1 = reorder.take_ticket(), reorder.take_ticket()
+        reorder.release(t1, make_packet(factory))  # parked
+        with pytest.raises(ValueError):
+            reorder.release(t1, None)
+        reorder.release(t0, None)  # released, with t1 behind it
+        for ticket in (t0, t1):
+            with pytest.raises(ValueError):
+                reorder.release(ticket, None)
+
+    def test_traces_park_and_release(self, factory):
+        tracer = Tracer()
+        sim = Simulator(tracer=tracer)
+        reorder = ReorderBuffer(lambda p: None, sim=sim)
+        t0, t1 = reorder.take_ticket(), reorder.take_ticket()
+        reorder.release(t1, make_packet(factory))
+        reorder.release(t0, make_packet(factory))
+        kinds = [(r.source, r.kind) for r in tracer.records]
+        assert kinds == [("nic.reorder", "park"), ("nic.reorder", "release")]
+        assert tracer.records[-1].data == {"next_release": 2, "parked": 0}
 
 
 class TestBufferPool:
