@@ -83,19 +83,13 @@ class Link:
         """True while a frame is currently being serialised."""
         return self._busy_until > self.sim.now
 
-    def send(self, packet: Packet, now: Optional[float] = None) -> float:
+    def send(self, packet: Packet) -> float:
         """Serialise *packet* and schedule its delivery.
 
         Returns the absolute time serialisation will finish. Frames
         queue behind any in-flight frame, preserving FIFO order.
-        *now* overrides the simulator clock for callers replaying
-        deferred work at its original (virtual) timestamp — the fluid
-        lane sends at the packet's true completion time even though the
-        wall clock has already moved past it.
         """
-        if now is None:
-            now = self.sim._now
-        start = max(now, self._busy_until)
+        start = max(self.sim._now, self._busy_until)
         finish = start + self.serialization_time(packet)
         self._busy_until = finish
         packet.tx_start = start
@@ -108,18 +102,17 @@ class Link:
             self.sim.schedule_at(finish + self.propagation_delay, self._deliver, packet)
         return finish
 
-    def send_batch(self, packets, now: Optional[float] = None) -> list:
+    def send_batch(self, packets) -> list:
         """Serialise a burst back-to-back; returns each finish time.
 
         Arithmetic and delivery order are identical to calling
         :meth:`send` once per frame; the delivery events are inserted
         through the event queue's batched push instead of one
-        ``schedule_at`` per frame. *now* as in :meth:`send`.
+        ``schedule_at`` per frame.
         """
         sim = self.sim
         busy = self._busy_until
-        if now is None:
-            now = sim._now
+        now = sim._now
         if busy < now:
             busy = now
         prop = self.propagation_delay
