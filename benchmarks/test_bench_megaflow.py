@@ -38,7 +38,7 @@ EXPECTED_EVENTS = 203_531
 #: hold a million-flow trace under half an event per packet.
 EVENTS_PER_PACKET_CEILING = 0.5
 
-#: Peak-RSS bound (KiB). The run measures ~400 MiB end to end; holding
+#: Peak-RSS bound (KiB). The run measures ~305 MiB end to end; holding
 #: per-packet delivery records or per-flow generator state would cost
 #: gigabytes, which is the failure mode this guards against. Headroom
 #: covers allocator/platform variance and earlier tests in the same

@@ -10,11 +10,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, List, Optional, Sequence, Tuple
 
-try:  # vectorized train precompute; pure-python fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional dep
-    _np = None
-
 from ..net.flow import FiveTuple
 from ..net.packet import Packet, PacketFactory
 from ..sim.process import At
@@ -286,31 +281,14 @@ class FixedRateSender:
                 # never makes (events at exactly the horizon still run).
                 horizon = sim._horizon
                 t = sim._now
-                if uniform is None and _np is not None:
-                    # Jitterless trains vectorize exactly: there are no
-                    # RNG draws to sequence, and ``np.add.accumulate``
-                    # performs the same left-to-right float adds as the
-                    # scalar loop below, so every emission instant (and
-                    # the resume time) is bit-identical.
-                    seq = _np.add.accumulate(
-                        _np.concatenate(((t,), _np.full(burst_max, interval)))
-                    )
-                    bad = seq > horizon
-                    if end is not None:
-                        bad |= seq >= end
-                    head = bad[:burst_max]
-                    stop = int(head.argmax()) if head.any() else burst_max
-                    times = seq[:stop].tolist()
-                    t = float(seq[stop])
-                else:
-                    times: List[float] = []
-                    append = times.append
-                    while len(times) < burst_max and (end is None or t < end) and t <= horizon:
-                        append(t)
-                        gap = interval
-                        if uniform is not None:
-                            gap *= 1.0 + uniform(-jitter, jitter)
-                        t = t + gap
+                times: List[float] = []
+                append = times.append
+                while len(times) < burst_max and (end is None or t < end) and t <= horizon:
+                    append(t)
+                    gap = interval
+                    if uniform is not None:
+                        gap *= 1.0 + uniform(-jitter, jitter)
+                    t = t + gap
                 self._bursts.append(
                     submit_burst(make, times, packet_size, flow, name, vf_index)
                 )

@@ -31,15 +31,12 @@ distinct mixes; :class:`TraceWorkload` drives one app's flow process.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
-
-try:  # vectorized emission chains; pure-python fallback below
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is an optional dep
-    _np = None
+from itertools import accumulate, repeat
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.flow import PROTO_TCP, FiveTuple
 from ..net.packet import Packet, PacketFactory
@@ -106,9 +103,10 @@ class _WindowLedger:
     The batched engine submits a window's emissions before their
     instants pass, so eager counters would run ahead of the clock.
     Instead each window keeps sorted instant arrays and an inclusive
-    payload prefix sum; observers bisect against ``sim.now`` and fully
-    elapsed ledgers fold into scalar bases and are dropped — constant
-    observation memory in the flow count.
+    payload prefix sum (an ``array('q')``: eight bytes a packet rather
+    than one int object each); observers bisect against ``sim.now``
+    and fully elapsed ledgers fold into scalar bases and are dropped —
+    constant observation memory in the flow count.
     """
 
     __slots__ = ("times", "payload_cum", "starts", "ends", "last")
@@ -116,7 +114,7 @@ class _WindowLedger:
     def __init__(
         self,
         times: List[float],
-        payload_cum: List[int],
+        payload_cum: Sequence[int],
         starts: List[float],
         ends: List[float],
     ):
@@ -132,8 +130,8 @@ class _WindowLedger:
         self.last = last
 
 
-#: Largest vectorized emission chain computed at once (bounds the
-#: transient chunk an in-window elephant flow allocates).
+#: Largest emission chain computed at once (bounds the transient chunk
+#: an in-window elephant flow allocates).
 _MAX_CHAIN = 1 << 20
 
 
@@ -431,9 +429,8 @@ class TraceWorkload:
             return
         # 2. Walk each cursor's pacing chain through the window. The
         #    chain is the same left-to-right float accumulation the
-        #    per-flow engine performs one yield at a time, vectorized
-        #    when numpy is present (``np.add.accumulate`` runs the
-        #    identical adds, so every instant is bit-identical).
+        #    per-flow engine performs one yield at a time: ``accumulate``
+        #    runs the identical adds, so every instant is bit-identical.
         gap = self._gap
         mint_full = psize if psize >= 64 else 64
         times_all: List[float] = []
@@ -458,36 +455,23 @@ class TraceWorkload:
                 continue
             n_left = cur[1]
             flow = cur[2]
-            ts: List[float] = []
+            n_emit = 0
             while n_left > 0 and t < end:
-                if _np is not None and n_left >= 32:
-                    est = int((end - t) / gap) + 2
-                    m = min(n_left, est, _MAX_CHAIN)
-                    chain = _np.add.accumulate(
-                        _np.concatenate(((t,), _np.full(m - 1, gap)))
-                    )
-                    k = int(_np.searchsorted(chain, end, side="left"))
-                    if k:
-                        ts.extend(chain[:k].tolist())
-                    n_left -= k
-                    if k < m:
-                        t = float(chain[k])
-                        break
-                    t = float(chain[-1]) + gap
-                else:
-                    ts.append(t)
-                    t = t + gap
-                    n_left -= 1
+                m = min(n_left, int((end - t) / gap) + 2, _MAX_CHAIN)
+                chain = list(accumulate(repeat(gap, m - 1), initial=t))
+                k = bisect_left(chain, end)
+                times_all += chain[:k]
+                n_emit += k
+                n_left -= k
+                t = chain[k] if k < m else chain[-1] + gap
             cur[0] = t
             cur[1] = n_left
-            n_emit = len(ts)
-            times_all.extend(ts)
             flows_all.extend([flow] * n_emit)
             if n_left == 0:
                 # The flow's final packet fell in this window: it
                 # carries the size remainder; every other packet is a
                 # full payload.
-                ends.append(ts[-1])
+                ends.append(times_all[-1])
                 last_payload = cur[3]
                 mints_all.extend([mint_full] * (n_emit - 1))
                 mints_all.append(last_payload if last_payload >= 64 else 64)
@@ -505,18 +489,11 @@ class TraceWorkload:
             if starts:
                 self._ledgers.append(_WindowLedger([], [], starts, ends))
             return
-        if _np is not None and n > 64:
-            order = _np.argsort(_np.asarray(times_all), kind="stable").tolist()
-        else:
-            order = sorted(range(n), key=times_all.__getitem__)
+        order = sorted(range(n), key=times_all.__getitem__)
         times_sorted = [times_all[j] for j in order]
         flows_sorted = [flows_all[j] for j in order]
         mints_sorted = [mints_all[j] for j in order]
-        payload_cum: List[int] = []
-        total = 0
-        for j in order:
-            total += payloads_all[j]
-            payload_cum.append(total)
+        payload_cum = array("q", accumulate(map(payloads_all.__getitem__, order)))
         ends.sort()
         self._ledgers.append(
             _WindowLedger(times_sorted, payload_cum, starts, ends)

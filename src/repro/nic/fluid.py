@@ -219,7 +219,7 @@ class FluidLane:
         if not self._try_fluid(packet, now):
             self._spill(packet)
 
-    def burst_arrival(self, rec, t_emit: float) -> None:
+    def burst_arrival(self, rec) -> None:
         """Fused run-item callback for burst ingress with the lane on:
         ``NicPipeline._burst_arrival`` + :meth:`arrival` +
         :meth:`_try_fluid` in one frame, with the per-packet callees
@@ -234,9 +234,11 @@ class FluidLane:
                 tv, _, fn, jb = _heappop(micro)
                 fn(tv, jb)
         pipeline = self._pipeline
-        rec.seen += 1
-        if rec.seen == rec.n:
+        i = rec.seen  # the train's cursor (see _IngressBurst)
+        rec.seen = seen = i + 1
+        if seen == rec.n:
             pipeline._ingress_bursts.remove(rec)
+        t_emit = rec.times[i]
         if t_emit > rec.cutoff:
             return  # retired by congestion feedback before its instant
         rec.done += 1
@@ -386,15 +388,16 @@ class FluidLane:
             self._materialized += 1
             self._queue.push(t2, self._run_mat, (self._meter_step, job))
 
-    def trace_arrival(self, rec, i: int) -> None:
+    def trace_arrival(self, rec) -> None:
         """Fused run-item callback for multi-flow trace trains
         (``NicPipeline.submit_trace``) with the lane on — the
         :meth:`burst_arrival` twin with per-item ``flows[i]``/
-        ``sizes[i]`` instead of per-train constants, plus the EMC-miss
-        replay branch (``fluid_classify``): in the million-flow regime
-        every flow's first packet misses, and a spill would suspend
-        the lane per flow. Keep in lockstep with ``burst_arrival``;
-        each inlined block names its source."""
+        ``sizes[i]`` (``i`` is the train's ``seen`` cursor) instead of
+        per-train constants, plus the EMC-miss replay branch
+        (``fluid_classify``): in the million-flow regime every flow's
+        first packet misses, and a spill would suspend the lane per
+        flow. Keep in lockstep with ``burst_arrival``; each inlined
+        block names its source."""
         now = self._sim._now
         micro = self._micro
         if micro and micro[0][0] <= now:  # inlined _flush(now)
@@ -402,8 +405,9 @@ class FluidLane:
                 tv, _, fn, jb = _heappop(micro)
                 fn(tv, jb)
         pipeline = self._pipeline
-        rec.seen += 1
-        if rec.seen == rec.n:
+        i = rec.seen
+        rec.seen = seen = i + 1
+        if seen == rec.n:
             pipeline._ingress_bursts.remove(rec)
         t_emit = rec.times[i]
         if t_emit > rec.cutoff:

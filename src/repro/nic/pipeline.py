@@ -43,6 +43,12 @@ class _IngressBurst:
     passed count as sent even before their DMA-completion run item
     executes, and a congestion-feedback ``cutoff`` retires every
     emission strictly after it.
+
+    A train's run items always execute in train order: its instants
+    ascend and their seqs are drawn in order at submission, and the
+    run lane (merged or not) executes items by ``(time, seq)``. So
+    ``seen`` doubles as the cursor into ``times`` and every item
+    carries the same ``(rec,)`` args tuple instead of its own index.
     """
 
     __slots__ = (
@@ -60,11 +66,11 @@ class _IngressBurst:
         self.cutoff = _INF
         #: Arrival items executed and admitted (not retired).
         self.done = 0
-        #: Run items executed, including retired ones.
+        #: Run items executed, including retired ones — the index of
+        #: the next item's instant.
         self.seen = 0
-        # Per-train constants of every arrival item, carried here so a
-        # run item is just ``(rec, t_emit)`` — the arrival callback is
-        # the hottest argument unpack in the simulator.
+        # Per-train constants of every arrival item, carried here so
+        # every run item shares one ``(rec,)`` args tuple.
         self.make = make
         self.size = size
         self.flow = flow
@@ -105,8 +111,10 @@ class _TraceTrain:
     flows would otherwise cost a million one-item trains and a
     quadratic merge into the shared ingress run. Lazy-counting
     protocol (``count_at``/``settled``/``done``) matches
-    ``_IngressBurst`` so ``NicPipeline.submitted`` folds both alike.
-    Trace trains carry no congestion feedback: ``cutoff`` stays +inf.
+    ``_IngressBurst`` so ``NicPipeline.submitted`` folds both alike,
+    and so does the ``seen`` cursor that indexes ``times``/``flows``/
+    ``sizes``. Trace trains carry no congestion feedback: ``cutoff``
+    stays +inf.
     """
 
     __slots__ = (
@@ -380,7 +388,8 @@ class NicPipeline:
         # With the lane on, the whole arrival chain runs in one fused
         # frame (flush + admission + absorb) — see FluidLane.
         arrive = self._burst_arrival if fluid is None else fluid.burst_arrival
-        entries = [(t + latency, arrive, (rec, t)) for t in times]
+        args = (rec,)
+        entries = [(t + latency, arrive, args) for t in times]
         if self._fluid is not None:
             # Fluid lane on: merge every sender's train into ONE shared
             # run so concurrent senders stop shredding each other's
@@ -421,9 +430,8 @@ class NicPipeline:
         latency = self.config.rx_dma_latency
         fluid = self._fluid
         arrive = self._trace_arrival if fluid is None else fluid.trace_arrival
-        entries = [
-            (times[i] + latency, arrive, (rec, i)) for i in range(rec.n)
-        ]
+        args = (rec,)
+        entries = [(t + latency, arrive, args) for t in times]
         if fluid is not None:
             # One shared run per pipeline, as in submit_burst — window
             # trains append in time order, so each merge is O(window).
@@ -446,7 +454,7 @@ class NicPipeline:
             run = self._ingress_run = EventRun()
         return run
 
-    def _burst_arrival(self, rec: _IngressBurst, t_emit: float) -> None:
+    def _burst_arrival(self, rec: _IngressBurst) -> None:
         fluid = self._fluid
         if fluid is not None:
             # As in submit(): matured fluid buffer returns must land in
@@ -454,9 +462,11 @@ class NicPipeline:
             micro = fluid._micro
             if micro and micro[0][0] <= self.sim._now:
                 fluid._flush(self.sim._now)
-        rec.seen += 1
-        if rec.seen == rec.n:
+        i = rec.seen
+        rec.seen = seen = i + 1
+        if seen == rec.n:
             self._ingress_bursts.remove(rec)
+        t_emit = rec.times[i]
         if t_emit > rec.cutoff:
             return  # retired by congestion feedback before its instant
         rec.done += 1
@@ -480,7 +490,7 @@ class NicPipeline:
             return
         self._arrive_dma(packet)
 
-    def _trace_arrival(self, rec: _TraceTrain, i: int) -> None:
+    def _trace_arrival(self, rec: _TraceTrain) -> None:
         """Per-item DMA completion of a trace train (fluid lane off —
         with the lane on :meth:`FluidLane.trace_arrival` fuses this)."""
         fluid = self._fluid
@@ -488,8 +498,9 @@ class NicPipeline:
             micro = fluid._micro
             if micro and micro[0][0] <= self.sim._now:
                 fluid._flush(self.sim._now)
-        rec.seen += 1
-        if rec.seen == rec.n:
+        i = rec.seen
+        rec.seen = seen = i + 1
+        if seen == rec.n:
             self._ingress_bursts.remove(rec)
         t_emit = rec.times[i]
         if t_emit > rec.cutoff:

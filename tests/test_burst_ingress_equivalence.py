@@ -29,6 +29,7 @@ from repro.experiments.policies import fair_policy, motivation_policy
 from repro.experiments.workloads import motivation_demands
 from repro.host import FixedRateSender, TcpApp, TcpParams, TcpRegistry, windows
 from repro.net import PacketFactory, PacketSink
+from repro.net.flow import FiveTuple
 from repro.nic import NicConfig, NicPipeline
 from repro.sim import Simulator
 
@@ -225,64 +226,179 @@ class TestLazySinkUnderBurst:
         assert burst["delivered"] > 0
 
 
-class TestVectorizedTrains:
-    """numpy-vs-scalar train precompute bit-identity (jitterless only).
+class TestJitterlessTrains:
+    """Jitterless burst trains vs per-packet submission, bit for bit.
 
-    ``FixedRateSender`` vectorizes jitterless emission instants with
-    ``np.add.accumulate``, which performs the same left-to-right float
-    adds as the scalar loop — so the instants, the train boundaries,
-    and the resume time must be bit-identical, not approximately equal.
-    Jittered senders draw RNG per gap and always take the scalar loop.
+    With ``jitter=0.0`` there are no RNG draws to sequence, so a train
+    is a plain ``t <- t + interval`` walk — the same float adds the
+    per-packet loop performs one yield at a time. The instants, the
+    train boundaries, and the resume time must be bit-identical, not
+    approximately equal; only the kernel event count may differ.
     """
 
-    def _run(self, use_numpy: bool, duration: float = 2.0) -> dict:
-        import repro.host.traffic as traffic_mod
-
-        if use_numpy and traffic_mod._np is None:
-            pytest.skip("numpy not available")
-        saved = traffic_mod._np
-        traffic_mod._np = saved if use_numpy else None
-        try:
-            setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
-            sim = Simulator(seed=setup.seed)
-            frontend = FlowValveFrontend(
-                motivation_policy(setup.link_bps),
-                link_rate_bps=setup.link_bps,
-                params=setup.sched_params(),
-            )
-            sink = PacketSink(sim, rate_window=1.0, record_delays=True)
-            nic = NicPipeline.with_flowvalve(
-                sim, replace(setup.nic_config(), ingress_burst=64),
-                frontend, receiver=sink.receive,
-            )
-            factory = PacketFactory()
-            senders = []
-            for index, (app, demand) in enumerate(
-                sorted(motivation_demands(setup.nominal_link_bps).items())
-            ):
-                senders.append(FixedRateSender(
-                    sim, app, factory, nic.submit,
-                    rate_bps=setup.sender_rate(), packet_size=1500,
-                    demand=_scale_demand(demand, setup.scale),
-                    vf_index=index, jitter=0.0,
-                ))
-            final = sim.run(until=duration)
-            return {
-                "final": final,
-                "submitted": nic.submitted,
-                "forwarded": nic.forwarded,
-                "dropped": nic.dropped,
-                "delivered": sink.total_packets,
-                "bytes_by_app": dict(sink.bytes),
-                "delays": sink.delays,
-                "sent": [s.sent_packets for s in senders],
-                "events": sim.events_executed,
-            }
-        finally:
-            traffic_mod._np = saved
+    def _run(self, ingress_burst: int, duration: float = 2.0) -> dict:
+        setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
+        sim = Simulator(seed=setup.seed)
+        frontend = FlowValveFrontend(
+            motivation_policy(setup.link_bps),
+            link_rate_bps=setup.link_bps,
+            params=setup.sched_params(),
+        )
+        sink = PacketSink(sim, rate_window=1.0, record_delays=True)
+        nic = NicPipeline.with_flowvalve(
+            sim, replace(setup.nic_config(), ingress_burst=ingress_burst),
+            frontend, receiver=sink.receive,
+        )
+        factory = PacketFactory()
+        senders = []
+        for index, (app, demand) in enumerate(
+            sorted(motivation_demands(setup.nominal_link_bps).items())
+        ):
+            senders.append(FixedRateSender(
+                sim, app, factory, nic.submit,
+                rate_bps=setup.sender_rate(), packet_size=1500,
+                demand=_scale_demand(demand, setup.scale),
+                vf_index=index, jitter=0.0,
+            ))
+        final = sim.run(until=duration)
+        return {
+            "final": final,
+            "submitted": nic.submitted,
+            "forwarded": nic.forwarded,
+            "dropped": nic.dropped,
+            "delivered": sink.total_packets,
+            "bytes_by_app": dict(sink.bytes),
+            "delays": sink.delays,
+            "sent": [s.sent_packets for s in senders],
+            "events": sim.events_executed,
+        }
 
     def test_jitterless_trains_bit_identical(self):
-        assert self._run(use_numpy=True) == self._run(use_numpy=False)
+        burst = self._run(ingress_burst=64)
+        plain = self._run(ingress_burst=0)
+        assert burst["events"] < plain["events"]
+        del burst["events"], plain["events"]
+        assert burst == plain
+        assert burst["delivered"] > 0
+
+
+#: Set-up and instant grid (seconds) of the merged-train workload.
+_TRAIN_SETUP = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
+_G = 1e-3
+
+
+def _merged_trains():
+    """Four interleaving trains in submission order: ``(kind, app,
+    vf_index, times, flows, sizes, cutoff)``. Trace train WS repeats
+    every fourth KVS instant and burst train ML every even one (exact
+    float ties); NC ties WS's half-steps and is retired mid-train."""
+    kvs_times = [i * _G for i in range(1, 41)]
+    ws_times = sorted(kvs_times[::4] + [(i + 0.5) * _G for i in range(1, 41, 3)])
+    ml_times = [i * _G for i in range(2, 42, 2)]
+    nc_times = [(i + 0.5) * _G for i in range(1, 41, 2)]
+
+    def flows(vf, n, count):
+        return [FiveTuple(f"10.{vf}.0.{k % count + 1}", "10.0.1.1", 40000 + k % count, 5001)
+                for k in range(n)]
+
+    return [
+        ("trace", "KVS", 2, kvs_times, flows(2, len(kvs_times), 3),
+         [200 + 31 * k for k in range(len(kvs_times))], None),
+        ("trace", "WS", 1, ws_times, flows(1, len(ws_times), 2),
+         [1500 - 17 * k for k in range(len(ws_times))], None),
+        ("burst", "ML", 3, ml_times, flows(3, len(ml_times), 1),
+         [1500] * len(ml_times), None),
+        ("burst", "NC", 0, nc_times, flows(0, len(nc_times), 1),
+         [700] * len(nc_times), 20.5 * _G),
+    ]
+
+
+def _run_merged_trains(*, fluid: bool, trained: bool, record=None) -> dict:
+    """Run the merged-train workload: as trains handed to
+    ``submit_trace``/``submit_burst`` (*trained*), or as one ``submit``
+    per emission. *record*, a list, collects every minted packet in
+    mint order (a custom maker, so it takes the ``rec.make`` branch)."""
+    setup = _TRAIN_SETUP
+    sim = Simulator(seed=setup.seed)
+    frontend = FlowValveFrontend(
+        motivation_policy(setup.link_bps),
+        link_rate_bps=setup.link_bps,
+        params=setup.sched_params(),
+    )
+    sink = PacketSink(sim, rate_window=1.0, record_delays=True)
+    nic = NicPipeline.with_flowvalve(
+        sim, replace(setup.nic_config(), fluid=fluid), frontend, receiver=sink.receive,
+    )
+    assert (nic._fluid is not None) == fluid
+    factory = PacketFactory()
+    make = factory.make
+    if record is not None:
+        def make(size, flow, created_at, app="", vf_index=0, conn_id=-1):
+            packet = factory.make(size, flow, created_at, app=app, vf_index=vf_index)
+            record.append(packet)
+            return packet
+
+    def emit(size, flow, app, vf_index):
+        nic.submit(make(size, flow, sim.now, app=app, vf_index=vf_index))
+
+    for kind, app, vf, times, flows, sizes, cutoff in _merged_trains():
+        if not trained:
+            for t, flow, size in zip(times, flows, sizes):
+                if cutoff is None or t <= cutoff:
+                    sim.schedule_at(t, emit, size, flow, app, vf)
+        elif kind == "trace":
+            nic.submit_trace(make, times, flows, sizes, app, vf)
+        else:
+            rec = nic.submit_burst(make, times, sizes[0], flows[0], app, vf)
+            if cutoff is not None:
+                rec.cutoff = cutoff
+    sim.run(until=0.2)
+    observed = _observe(sim, nic, sink, [], [])
+    observed["delays"] = sink.delays
+    observed["created"] = factory.created
+    return observed
+
+
+class TestTrainOrder:
+    """Trains merged into one ingress run each keep their own order.
+
+    An arrival item carries only its train record: it reads its index
+    from the train's ``seen`` cursor, so every train's items must run
+    in index order however the run interleaves them. Two trace trains
+    of different apps and two burst trains — one retired mid-train by
+    ``cutoff`` — interleave and tie exactly on instants.
+    """
+
+    @pytest.mark.parametrize("fluid", [True, False], ids=["fluid", "no-fluid"])
+    def test_each_arrival_mints_its_own_trains_next_packet(self, fluid):
+        minted = []
+        _run_merged_trains(fluid=fluid, trained=True, record=minted)
+        latency = _TRAIN_SETUP.nic_config().rx_dma_latency
+        expected = []
+        for order, (_kind, app, _vf, times, flows, sizes, cutoff) in enumerate(_merged_trains()):
+            for i, (t, flow, size) in enumerate(zip(times, flows, sizes)):
+                if cutoff is None or t <= cutoff:
+                    expected.append(((t + latency, order, i), (app, t, flow, size)))
+        expected.sort()
+        assert [(p.app, p.created_at, p.flow, p.size) for p in minted] == [
+            item for _key, item in expected
+        ]
+        # The retired tail really was cut: NC emitted only up to cutoff.
+        assert sum(p.app == "NC" for p in minted) == 10
+
+    def test_outcome_matches_per_packet_submit(self):
+        runs = [
+            _run_merged_trains(fluid=fluid, trained=trained)
+            for fluid in (True, False)
+            for trained in (True, False)
+        ]
+        trained_fluid = runs[0]
+        assert trained_fluid["events"] < runs[1]["events"]
+        for run in runs:
+            del run["events"]
+        assert all(run == trained_fluid for run in runs[1:])
+        assert trained_fluid["delivered"] > 0
+        assert trained_fluid["sched_dropped"] > 0
 
 
 class TestFluidLaneEquivalence:
