@@ -69,6 +69,11 @@ class ReorderBuffer:
         out-of-order ticket is parked and frees nothing. The caller
         emits the run; :meth:`complete` is this plus the emission.
         """
+        if ticket == self._next_release and not self._pending:
+            # Lone head of line, the common case: nothing parked
+            # behind it to unpark, and nothing to trace.
+            self._next_release = ticket + 1
+            return [] if packet is None else [packet]
         run = self._take(ticket, packet)
         if self._next_release > ticket + 1 and self._trace is not None:
             self._trace_release()

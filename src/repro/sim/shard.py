@@ -15,11 +15,14 @@ event queue) and domains are assigned to shard worker processes by a
   exchange at the barrier.
 * **Exchange**: each domain's boundary links record
   :class:`~repro.net.boundary.WireRecord` trains instead of delivering
-  (zero events); at the barrier the coordinator routes and globally
-  sorts them per destination by ``(arrival, source domain, wire
-  order)``, and the destination splices the train into its queue with
-  one ``EventQueue.push_run`` — the run-lane format burst ingress
-  already uses.
+  (zero events); at the barrier each shard sends the coordinator only
+  the shipments bound for another shard's domains, the coordinator
+  forwards each to the shard that owns its destination, and every
+  shard merges its own shipments with the forwarded ones into
+  per-destination trains ordered by ``(arrival, source domain, wire
+  order)``. The destination splices the train into its queue with one
+  ``EventQueue.push_run`` — the run-lane format burst ingress already
+  uses.
 
 Because every domain owns its own :class:`Simulator` (seed derived
 from the domain index), its own RNG streams, and a disjoint packet
@@ -41,8 +44,9 @@ from __future__ import annotations
 import multiprocessing
 import time as _time
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Container, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..net.boundary import WireRecord
@@ -210,6 +214,9 @@ class ShardPlan:
 #: domain name, wire records in send order).
 Shipment = Tuple[int, str, List[WireRecord]]
 
+_arrival = itemgetter(0)
+_source = itemgetter(0)
+
 
 def route_records(shipments: Sequence[Shipment]) -> Dict[str, List[WireRecord]]:
     """Merge shipments into per-destination, globally ordered trains.
@@ -218,19 +225,24 @@ def route_records(shipments: Sequence[Shipment]) -> Dict[str, List[WireRecord]]:
     a total order every execution mode computes identically, so
     equal-timestamp arrivals from different sources never flip between
     shard counts (the property test pins this, including that a window
-    barrier splitting a stream cannot reorder it).
+    barrier splitting a stream cannot reorder it). Each domain has one
+    outbox, so a destination gets at most one shipment per source:
+    joining them in source order and stable-sorting by arrival yields
+    that order. The result depends only on the set of shipments, not on
+    their order, which is what lets each shard route its own trains.
     """
-    keyed: Dict[str, List[Tuple[float, int, int, WireRecord]]] = {}
+    by_dst: Dict[str, List[Tuple[int, List[WireRecord]]]] = {}
     for src_index, dst, records in shipments:
-        if not records:
-            continue
-        bucket = keyed.setdefault(dst, [])
-        for position, record in enumerate(records):
-            bucket.append((record[0], src_index, position, record))
+        if records:
+            by_dst.setdefault(dst, []).append((src_index, records))
     out: Dict[str, List[WireRecord]] = {}
-    for dst, bucket in keyed.items():
-        bucket.sort(key=lambda item: (item[0], item[1], item[2]))
-        out[dst] = [item[3] for item in bucket]
+    for dst, parts in by_dst.items():
+        parts.sort(key=_source)
+        train: List[WireRecord] = []
+        for _src, records in parts:
+            train += records
+        train.sort(key=_arrival)
+        out[dst] = train
     return out
 
 
@@ -330,6 +342,26 @@ def _recv(conn, deadline: Optional[float], shard: int, process):
             )
 
 
+def _exchange(
+    shipments: Sequence[Shipment],
+    owned: Container[str],
+    swap: Callable[[List[Shipment]], List[Shipment]],
+) -> Dict[str, List[WireRecord]]:
+    """One shard's side of a barrier: the trains for its own domains.
+
+    Shipments bound for a domain in *owned* stay here; *swap* sends the
+    rest to the coordinator and returns the ones other shards sent to
+    this shard's domains. ``route_records`` does not depend on shipment
+    order, so routing both sets here gives each destination the train
+    that routing every shipment in one place would.
+    """
+    local: List[Shipment] = []
+    remote: List[Shipment] = []
+    for shipment in shipments:
+        (local if shipment[1] in owned else remote).append(shipment)
+    return route_records(local + swap(remote))
+
+
 def _shard_worker(spec, shard_index: int, cmd, out) -> None:
     """One shard: build assigned domains, run the barrier protocol."""
     try:
@@ -342,14 +374,19 @@ def _shard_worker(spec, shard_index: int, cmd, out) -> None:
         for barrier in barriers:
             for domain in domains:
                 domain.sim.run(until=barrier)
-            out.send(("out", barrier, _drain_shipments(domains)))
-            message = cmd.recv()
-            if message[0] != "in" or message[1] != barrier:
-                raise SimulationError(
-                    f"shard {shard_index}: barrier protocol violation: "
-                    f"expected ('in', {barrier}), got {message[:2]}"
-                )
-            for dst, records in message[2].items():
+
+            def swap(remote: List[Shipment]) -> List[Shipment]:
+                out.send(("out", barrier, remote))
+                message = cmd.recv()
+                if message[0] != "in" or message[1] != barrier:
+                    raise SimulationError(
+                        f"shard {shard_index}: barrier protocol violation: "
+                        f"expected ('in', {barrier}), got {message[:2]}"
+                    )
+                return message[2]
+
+            routed = _exchange(_drain_shipments(domains), by_name, swap)
+            for dst, records in routed.items():
                 by_name[dst].ingress.inject(barrier, records)
         out.send(
             ("done", shard_index, [summarize_domain(d, spec) for d in domains])
@@ -366,7 +403,11 @@ def _shard_worker(spec, shard_index: int, cmd, out) -> None:
 
 
 def _run_multiprocess(spec, plan: ShardPlan, barriers: Sequence[float]):
-    """Coordinator: star-topology barrier protocol over pipes."""
+    """Coordinator: star-topology barrier protocol over pipes.
+
+    At each barrier it forwards every shipment a shard sends to the
+    shard that owns the shipment's destination; it routes nothing.
+    """
     ctx = _mp_context()
     deadline = (
         None if spec.timeout is None else _time.monotonic() + spec.timeout
@@ -391,7 +432,7 @@ def _run_multiprocess(spec, plan: ShardPlan, barriers: Sequence[float]):
             name: plan.assignment[i] for i, name in enumerate(plan.domains)
         }
         for barrier in barriers:
-            shipments: List[Shipment] = []
+            inbound: List[List[Shipment]] = [[] for _ in range(plan.n_shards)]
             for shard, (process, _cmd, out) in enumerate(workers):
                 message = _recv(out, deadline, shard, process)
                 if message[0] == "error":
@@ -403,15 +444,10 @@ def _run_multiprocess(spec, plan: ShardPlan, barriers: Sequence[float]):
                         f"shard {shard}: expected ('out', {barrier}), "
                         f"got {message[:2]}"
                     )
-                shipments.extend(message[2])
-            routed = route_records(shipments)
-            per_shard: List[Dict[str, List[WireRecord]]] = [
-                {} for _ in range(plan.n_shards)
-            ]
-            for dst, records in routed.items():
-                per_shard[owners[dst]][dst] = records
+                for shipment in message[2]:
+                    inbound[owners[shipment[1]]].append(shipment)
             for shard, (_process, cmd, _out) in enumerate(workers):
-                cmd.send(("in", barrier, per_shard[shard]))
+                cmd.send(("in", barrier, inbound[shard]))
 
         summaries = []
         for shard, (process, _cmd, out) in enumerate(workers):

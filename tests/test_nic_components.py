@@ -1,6 +1,8 @@
 """Tests for the SmartNIC model's components."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import BufferExhausted, ConfigError
 from repro.net import FiveTuple, PacketFactory
@@ -278,6 +280,52 @@ class TestReorderRelease:
         kinds = [(r.source, r.kind) for r in tracer.records]
         assert kinds == [("nic.reorder", "park"), ("nic.reorder", "release")]
         assert tracer.records[-1].data == {"next_release": 2, "parked": 0}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_release_matches_complete(self, data):
+        """``release`` (with its lone head-of-line shortcut) and
+        ``complete`` agree on every completion order and drop pattern:
+        same packets in the same order, same ``in_flight``, ``parked``
+        and ``max_parked`` after every step, and a repeated ticket is
+        rejected on both."""
+        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+        order = data.draw(st.permutations(range(n)), label="order")
+        drops = data.draw(st.lists(st.booleans(), min_size=n, max_size=n),
+                          label="drops")
+        factory = PacketFactory()
+        packets = [None if drops[t] else make_packet(factory) for t in range(n)]
+        released, emitted = [], []
+        by_release = self._buffer()
+        by_complete = ReorderBuffer(emitted.append, emit_burst=emitted.extend)
+        for buffer in (by_release, by_complete):
+            assert [buffer.take_ticket() for _ in range(n)] == list(range(n))
+
+        def state(buffer):
+            return buffer.in_flight, buffer.parked, buffer.max_parked
+
+        def assert_repeat_rejected(ticket):
+            with pytest.raises(ValueError):
+                by_release.release(ticket, packets[ticket])
+            with pytest.raises(ValueError):
+                by_complete.complete(ticket, packets[ticket])
+
+        for step, ticket in enumerate(order):
+            released.extend(by_release.release(ticket, packets[ticket]))
+            by_complete.complete(ticket, packets[ticket])
+            assert released == emitted
+            assert state(by_release) == state(by_complete)
+            if data.draw(st.booleans(), label="repeat"):
+                assert_repeat_rejected(
+                    data.draw(st.sampled_from(order[: step + 1]), label="ticket")
+                )
+                assert state(by_release) == state(by_complete)
+        assert released == [p for p in packets if p is not None]
+        assert by_release.in_flight == by_release.parked == 0
+        # Nothing parked: every ticket, the last head of line included,
+        # is now behind the release cursor.
+        for ticket in range(n):
+            assert_repeat_rejected(ticket)
 
 
 class TestBufferPool:

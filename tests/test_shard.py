@@ -3,8 +3,9 @@
 The end-to-end byte-identity contract lives in
 ``test_shard_determinism.py``; this file pins the plan-time pieces:
 partitioning, barrier tiling, the zero-lookahead guard, and the total
-order of cross-domain record routing (including the property that a
-window barrier can never reorder a stream it splits).
+order of cross-domain record routing (including the properties that a
+window barrier can never reorder a stream it splits, and that a shard
+routing its own trains gets the trains one router would).
 """
 
 import pytest
@@ -15,7 +16,7 @@ from repro.errors import SimulationError
 from repro.net.boundary import WIRE_FLOW, BoundaryOutbox
 from repro.net.packet import Packet
 from repro.sim import BoundaryWire, ShardPlan
-from repro.sim.shard import route_records
+from repro.sim.shard import _exchange, route_records
 
 
 def _wire(src="a", dst="b", lookahead=0.1):
@@ -236,3 +237,75 @@ class TestBarrierSplitProperty:
             spliced.extend(route_records(shipments).get("d", []))
         assert spliced == whole
         assert all(not box.records for box in boxes)
+
+
+@st.composite
+def _barrier_exchange(draw):
+    """One barrier's shipments over 2-6 domains, and a domain→shard map.
+
+    Each (source, destination) pair ships at most once, as each domain
+    drains one outbox per barrier. Arrival times are snapped to a small
+    grid and drawn unsorted, so ties within and across sources are
+    common.
+    """
+    n = draw(st.integers(min_value=2, max_value=6))
+    names = [f"d{i}" for i in range(n)]
+    shards = draw(st.integers(min_value=1, max_value=n))
+    owner = {name: draw(st.integers(min_value=0, max_value=shards - 1))
+             for name in names}
+    pairs = draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=n - 1),
+                  st.sampled_from(names)),
+        unique=True, max_size=2 * n,
+    ))
+    shipments = []
+    for src, dst in pairs:
+        steps = draw(st.lists(st.integers(min_value=0, max_value=4), max_size=12))
+        shipments.append((src, dst, [
+            (step * 0.25, src * 1000 + i, 1500, 0.0, "A", 0)
+            for i, step in enumerate(steps)
+        ]))
+    return names, owner, shipments
+
+
+class TestShardLocalRoutingProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_barrier_exchange(), st.randoms(use_true_random=False))
+    def test_a_train_does_not_depend_on_who_routes_it(self, case, rng):
+        """Each shard's trains == one router's, restricted to its domains.
+
+        A shard keeps the shipments its own domains send to its own
+        domains and receives the ones other shards send them; routing
+        the two together must give exactly the trains ``_run_inline``
+        would route from every shipment at once. The shipments it sends
+        on are exactly its cross-shard ones. Shuffling the shipment list
+        changes nothing.
+        """
+        names, owner, shipments = case
+        whole = route_records(shipments)
+        # The global order, spelled out: (arrival, source, position).
+        for dst, train in whole.items():
+            keyed = sorted(
+                (record[0], src, position, record)
+                for src, to, records in shipments if to == dst
+                for position, record in enumerate(records)
+            )
+            assert train == [item[3] for item in keyed]
+        shuffled = list(shipments)
+        rng.shuffle(shuffled)
+        assert route_records(shuffled) == whole
+
+        for shard in set(owner.values()):
+            owned = {name for name in names if owner[name] == shard}
+            drained = [s for s in shipments if owner[names[s[0]]] == shard]
+            forwarded = [s for s in shipments
+                         if owner[names[s[0]]] != shard and s[1] in owned]
+            sent = []
+
+            def swap(remote):
+                sent.extend(remote)
+                return forwarded
+
+            routed = _exchange(drained, owned, swap)
+            assert routed == {dst: t for dst, t in whole.items() if dst in owned}
+            assert sent == [s for s in drained if s[1] not in owned]

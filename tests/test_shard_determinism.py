@@ -13,6 +13,7 @@ seconds each — durations are kept short.
 
 import pytest
 
+import repro.sim.shard as shard_engine
 from repro.experiments.policies import motivation_policy
 from repro.experiments.workloads import motivation_demands
 from repro.topology import ScaledSetup, SimulationSpec, Topology
@@ -103,6 +104,33 @@ class TestByteIdentity:
             "nic0's sink terminates nic1's wire; its deliveries must "
             "carry domain 1's sequence bank"
         )
+
+
+class TestCoordinatorTraffic:
+    def test_coordinator_carries_only_cross_shard_shipments(self, monkeypatch):
+        """Shards route their own trains: the coordinator sees only the
+        shipments that cross the shard cut. Contiguous blocks put
+        nic0/nic1 on shard 0 and nic2/nic3 on shard 1, so on the ring
+        only nic1→nic2 and nic3→nic0 cross it."""
+        spec = ring_spec(4, duration=1.0, collect_records=True)
+        plan = spec.with_shards(2).plan()
+        assert plan.assignment == (0, 0, 1, 1)
+        shipped = []
+        recv = shard_engine._recv
+
+        def spy(conn, deadline, shard, process):
+            message = recv(conn, deadline, shard, process)
+            if message[0] == "out":
+                shipped.extend(message[2])
+            return message
+
+        monkeypatch.setattr(shard_engine, "_recv", spy)
+        double = spec.with_shards(2).run()
+        assert shipped, "no shipment crossed the shard cut"
+        for src, dst, _records in shipped:
+            assert plan.assignment[src] != plan.shard_of(dst)
+        assert {(src, dst) for src, dst, _ in shipped} == {(1, "nic2"), (3, "nic0")}
+        assert_identical(spec.with_shards(1).run(), double)
 
 
 class TestFluidCrossProduct:
