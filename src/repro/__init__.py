@@ -42,27 +42,19 @@ Subpackages
     The evaluation harness — one module per paper figure/table.
 """
 
+from ._lazy import lazy_exports
 from .core import (
-    FlowValve,
     FlowValveFrontend,
     SchedulingFunction,
     SchedulingParams,
     SchedulingTree,
     Verdict,
 )
-from .core.offload import compile_offload
 from .net import FiveTuple, Link, Packet, PacketFactory, PacketSink
 from .nic import NicConfig, NicPipeline
-from .sched import Scheduler, build_scheduler, scheduler_names
-from .sim import ShardPlan, Simulator
+from .sim import Simulator
 from .tc import PolicyConfig, parse_script, validate_policy
-from .topology import (
-    ScaledSetup,
-    SimulationResult,
-    DomainSummary,
-    SimulationSpec,
-    Topology,
-)
+from .topology import ScaledSetup
 from .units import format_rate, parse_rate
 
 __version__ = "1.0.0"
@@ -99,3 +91,13 @@ __all__ = [
     "parse_rate",
     "__version__",
 ]
+
+# Loaded on first use, so a run compiles only the modules it executes
+# (DESIGN.md §7, "Set-up").
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".core": ("FlowValve",),
+    ".core.offload": ("compile_offload",),
+    ".sched": ("Scheduler", "build_scheduler", "scheduler_names"),
+    ".sim": ("ShardPlan",),
+    ".topology": ("DomainSummary", "SimulationResult", "SimulationSpec", "Topology"),
+})

@@ -14,11 +14,10 @@
   (Fig. 13's CPU-for-throughput trade).
 """
 
+from .._lazy import lazy_exports
 from .qdisc_base import LeafQueue, Qdisc
-from .prio import PrioQdisc
 from .htb import HtbClass, HtbQdisc
 from .kernel import KernelQdiscRuntime, KernelParams
-from .dpdk_qos import DpdkQosParams, DpdkQosScheduler
 
 __all__ = [
     "LeafQueue",
@@ -31,3 +30,11 @@ __all__ = [
     "DpdkQosParams",
     "DpdkQosScheduler",
 ]
+
+# PRIO and the DPDK scheduler load on first use; the HTB models stay
+# eager because the shared experiment plumbing builds them
+# (DESIGN.md §7, "Set-up").
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".prio": ("PrioQdisc",),
+    ".dpdk_qos": ("DpdkQosParams", "DpdkQosScheduler"),
+})

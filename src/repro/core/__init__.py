@@ -19,6 +19,7 @@ cycle-cost NIC model (:mod:`repro.nic`):
 * :mod:`.valve` — the :class:`FlowValve` facade tying it together.
 """
 
+from .._lazy import lazy_exports
 from .token_bucket import TokenBucket, MeterColor
 from .labels import QosLabel
 from .rate_rules import (
@@ -36,7 +37,6 @@ from .flow_cache import ExactMatchCache
 from .labeling import LabelingFunction
 from .scheduling import SchedulingFunction, Verdict, SchedulingParams
 from .frontend import FlowValveFrontend
-from .valve import FlowValve
 
 __all__ = [
     "TokenBucket",
@@ -60,3 +60,9 @@ __all__ = [
     "FlowValveFrontend",
     "FlowValve",
 ]
+
+# The software-mode facade loads on first use: the NIC data path runs
+# the functions above directly (DESIGN.md §7, "Set-up").
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".valve": ("FlowValve",),
+})

@@ -10,11 +10,13 @@ Every figure module exposes the unified entry-point shape
 ``run(setup: ScaledSetup, **spec_params) -> Result`` where the result
 exposes ``to_table()`` (DESIGN.md §9); the historical ``run_*`` names
 remain as thin deprecation shims returning their original shapes. The
+figure modules load on first use of one of their names. The
 :mod:`.campaign` subpackage (imported explicitly) registers every
 entry point as an :class:`ExperimentSpec` and runs parameter grids in
 parallel.
 """
 
+from .._lazy import lazy_exports
 from .base import (
     ScaledSetup,
     TimelineResult,
@@ -26,31 +28,6 @@ from .policies import (
     motivation_policy,
     motivation_htb_tree,
     weighted_policy,
-)
-from .workloads import (
-    fair_queueing_demands,
-    motivation_demands,
-    weighted_demands,
-)
-from .fabric import FabricResult, run_fabric_sweep
-from .megaflow import MegaflowResult, run_megaflow
-from .fig03 import run_fig03
-from .fig11 import run_fig11a, run_fig11b, run_fig11c
-from .fig13 import Fig13Result, Fig13Row, run_fig13
-from .fig14 import Fig14Result, Fig14Row, run_fig14
-from .cpu_cores import CpuResult, CpuRow, run_cpu_comparison
-from .ablations import (
-    IntervalSensitivityResult,
-    LockAblationResult,
-    PropagationDelayResult,
-    run_lock_mode_ablation,
-    run_propagation_delay,
-    run_update_interval_sensitivity,
-)
-from .tcp_realism import (
-    TcpRealismResult,
-    run_tcp_realism_shared,
-    tcp_realism_table,
 )
 
 __all__ = [
@@ -92,3 +69,33 @@ __all__ = [
     "run_tcp_realism_shared",
     "tcp_realism_table",
 ]
+
+# Each figure module loads on first use, so importing one experiment
+# compiles none of the others (DESIGN.md §7, "Set-up").
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".workloads": (
+        "fair_queueing_demands",
+        "motivation_demands",
+        "weighted_demands",
+    ),
+    ".fabric": ("FabricResult", "run_fabric_sweep"),
+    ".megaflow": ("MegaflowResult", "run_megaflow"),
+    ".fig03": ("run_fig03",),
+    ".fig11": ("run_fig11a", "run_fig11b", "run_fig11c"),
+    ".fig13": ("Fig13Result", "Fig13Row", "run_fig13"),
+    ".fig14": ("Fig14Result", "Fig14Row", "run_fig14"),
+    ".cpu_cores": ("CpuResult", "CpuRow", "run_cpu_comparison"),
+    ".ablations": (
+        "IntervalSensitivityResult",
+        "LockAblationResult",
+        "PropagationDelayResult",
+        "run_lock_mode_ablation",
+        "run_propagation_delay",
+        "run_update_interval_sensitivity",
+    ),
+    ".tcp_realism": (
+        "TcpRealismResult",
+        "run_tcp_realism_shared",
+        "tcp_realism_table",
+    ),
+})

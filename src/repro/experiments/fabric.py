@@ -127,14 +127,17 @@ def build_fabric(
     """A ring of *hosts* motivation-policy domains.
 
     Domain ``i``'s egress wire terminates at domain ``(i+1) % hosts``;
-    a single-host "ring" gets no wire (classic local delivery).
+    a single-host "ring" gets no wire (classic local delivery). The
+    policy is parsed once and every NIC holds that one object; nothing
+    downstream mutates a policy.
     """
     demands = sorted(motivation_demands(setup.nominal_link_bps).items())
+    policy = motivation_policy(setup.link_bps)
     topo = Topology()
     for i in range(hosts):
         nic = f"nic{i}"
         host = f"host{i}"
-        topo.nic(nic, motivation_policy(setup.link_bps))
+        topo.nic(nic, policy)
         topo.host(host, nic=nic)
         for app, demand in demands:
             topo.app(host, app, demand=demand)

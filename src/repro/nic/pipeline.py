@@ -26,6 +26,7 @@ from ..sim.events import EventRun
 from .apps import FlowValveNicApp, NicApp
 from .buffer_pool import BufferPool
 from .config import NicConfig
+from .fluid import FluidLane
 from .reorder import ReorderBuffer
 from .rings import TxRing
 from .traffic_manager import TrafficManager
@@ -290,8 +291,6 @@ class NicPipeline:
             and self.link._lazy_sink is not None
             and on_drop is None
         ):
-            from .fluid import FluidLane
-
             self._fluid = FluidLane(self)
             self._arrive_dma = self._fluid.arrival
 

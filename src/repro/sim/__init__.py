@@ -17,12 +17,12 @@ randomness flows through :class:`~repro.sim.randomness.RandomStreams`,
 so a seeded run is exactly reproducible.
 """
 
+from .._lazy import lazy_exports
 from .events import Event, EventQueue, SimEvent, AllOf, AnyOf
 from .simulator import Simulator
 from .process import At, Process
 from .resources import Lock, Store, TokenPool
 from .randomness import RandomStreams
-from .shard import BoundaryWire, ShardError, ShardPlan
 from .trace import Tracer, NullTracer, TraceRecord
 
 __all__ = [
@@ -45,3 +45,9 @@ __all__ = [
     "NullTracer",
     "TraceRecord",
 ]
+
+# The sharded engine (and multiprocessing with it) loads on first use:
+# a single-domain run never executes it (DESIGN.md §7, "Set-up").
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".shard": ("BoundaryWire", "ShardError", "ShardPlan"),
+})

@@ -408,6 +408,11 @@ def _run_multiprocess(spec, plan: ShardPlan, barriers: Sequence[float]):
     At each barrier it forwards every shipment a shard sends to the
     shard that owns the shipment's destination; it routes nothing.
     """
+    # Compile ``repro.topology.build`` here, once: every forked worker
+    # then inherits it instead of compiling it inside its own set-up.
+    # The workers still look ``build_domains`` up at call time.
+    from ..topology import build  # noqa: F401
+
     ctx = _mp_context()
     deadline = (
         None if spec.timeout is None else _time.monotonic() + spec.timeout

@@ -17,18 +17,8 @@ simulate`` argument plumbing, the figure runners — is a thin adapter
 over this package (:func:`timeline` is the single-NIC one they share).
 """
 
-from .build import timeline
-from .result import DomainSummary, SimulationResult
+from .._lazy import lazy_exports
 from .setup import ScaledSetup
-from .spec import (
-    AppSpec,
-    DomainSpec,
-    HostSpec,
-    NicSpec,
-    SimulationSpec,
-    Topology,
-    WireSpec,
-)
 
 __all__ = [
     "AppSpec",
@@ -43,3 +33,20 @@ __all__ = [
     "WireSpec",
     "timeline",
 ]
+
+# ``build``, ``spec`` and ``result`` load on first use: the figure
+# runners that construct their own simulator never execute them
+# (DESIGN.md §7, "Set-up").
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {
+    ".build": ("timeline",),
+    ".result": ("DomainSummary", "SimulationResult"),
+    ".spec": (
+        "AppSpec",
+        "DomainSpec",
+        "HostSpec",
+        "NicSpec",
+        "SimulationSpec",
+        "Topology",
+        "WireSpec",
+    ),
+})

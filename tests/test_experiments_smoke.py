@@ -16,11 +16,12 @@ from repro.experiments import (
     run_flowvalve_timeline,
     weighted_policy,
 )
-from repro.experiments import ablations
+from repro.experiments import ablations, fabric
 from repro.experiments.fig13 import PAPER_FIG13, _measure_flowvalve
 from repro.experiments.workloads import fair_queueing_demands, motivation_demands
 from repro.host.traffic import windows
 from repro.tc.validate import validate_policy
+from repro.topology import SimulationSpec
 
 
 class TestPolicies:
@@ -41,6 +42,18 @@ class TestPolicies:
         for leaf in leaves:
             assert len(leaf.borrow) == 3
             assert leaf.classid not in leaf.borrow
+
+    def test_fabric_nics_share_one_policy_nothing_mutates(self):
+        setup = fabric.DEFAULT_SETUP
+        topo = fabric.build_fabric(setup, hosts=4)
+        domains = topo.domains()
+        policy = domains[0].nic.policy
+        assert all(domain.nic.policy is policy for domain in domains)
+        result = SimulationSpec(
+            topology=topo, setup=setup, duration=1.0, shards=1
+        ).run()
+        assert result.total_packets > 0
+        assert policy == motivation_policy(setup.link_bps)
 
 
 class TestWorkloads:

@@ -8,6 +8,9 @@ traces; here we check the adapter equivalence, the builder's
 validation, and the public surface.
 """
 
+import importlib
+import re
+import types
 import warnings
 
 import pytest
@@ -41,10 +44,42 @@ def demands(setup):
     return motivation_demands(setup.nominal_link_bps)
 
 
+#: Packages whose ``__init__`` loads some of its exports on first use.
+LAZY_PACKAGES = (
+    "repro",
+    "repro.baselines",
+    "repro.core",
+    "repro.experiments",
+    "repro.sim",
+    "repro.topology",
+)
+
+
 class TestPublicSurface:
     def test_all_names_importable(self):
-        missing = [name for name in repro.__all__ if not hasattr(repro, name)]
+        for package in LAZY_PACKAGES:
+            pkg = importlib.import_module(package)
+            listed = dir(pkg)
+            for name in pkg.__all__:
+                value = getattr(pkg, name)
+                assert name in listed, (package, name)
+                if isinstance(value, (type, types.FunctionType)):
+                    home = importlib.import_module(value.__module__)
+                    assert getattr(home, name) is value, (package, name)
+
+    def test_star_import_binds_all_names(self):
+        namespace = {}
+        exec("from repro import *", namespace)
+        missing = [name for name in repro.__all__ if name not in namespace]
         assert missing == []
+        assert all(namespace[name] is getattr(repro, name) for name in repro.__all__)
+
+    @pytest.mark.parametrize("package", LAZY_PACKAGES)
+    def test_misspelled_name_names_the_package(self, package):
+        pkg = importlib.import_module(package)
+        message = f"module '{package}' has no attribute 'Topolgy'"
+        with pytest.raises(AttributeError, match=re.escape(message)):
+            pkg.Topolgy
 
     def test_topology_api_reexported(self):
         assert repro.Topology is Topology
