@@ -65,11 +65,9 @@ workloads this repo runs (see DESIGN.md §7).
 
 from __future__ import annotations
 
-import heapq
 from heapq import heappop as _heappop, heappush as _heappush
 from typing import List, Optional
 
-from ..core.token_bucket import MeterColor
 from ..errors import BufferExhausted
 from ..net.boundary import BoundaryOutbox
 from ..net.packet import DropReason, Packet
@@ -220,13 +218,12 @@ class FluidLane:
             self._spill(packet)
 
     def burst_arrival(self, rec) -> None:
-        """Fused run-item callback for burst ingress with the lane on:
-        ``NicPipeline._burst_arrival`` + :meth:`arrival` +
-        :meth:`_try_fluid` in one frame, with the per-packet callees
-        (micro flush, buffer admission, reorder ticket, defer) inlined
-        — at this event rate every call frame on the path is
-        measurable. Keep in lockstep with ``_burst_arrival`` and
-        :meth:`_try_fluid`; each inlined block names its source."""
+        """Fused run-item callback of an ingress train with the lane
+        on: ``NicPipeline._train_arrival`` + :meth:`arrival` in one
+        frame, with the per-packet callees (micro flush, packet mint,
+        buffer admission) inlined — at this event rate every call frame
+        on the path is measurable — then the one gate,
+        :meth:`_try_fluid`."""
         now = self._sim._now
         micro = self._micro
         if micro and micro[0][0] <= now:  # inlined _flush(now)
@@ -234,33 +231,23 @@ class FluidLane:
                 tv, _, fn, jb = _heappop(micro)
                 fn(tv, jb)
         pipeline = self._pipeline
-        i = rec.seen  # the train's cursor (see _IngressBurst)
+        i = rec.seen  # the train's cursor (see _IngressTrain)
         rec.seen = seen = i + 1
         if seen == rec.n:
-            pipeline._ingress_bursts.remove(rec)
+            pipeline._ingress_trains.remove(rec)
         t_emit = rec.times[i]
-        if t_emit > rec.cutoff:
-            return  # retired by congestion feedback before its instant
-        rec.done += 1
         pipeline._submitted += 1
-        conn_id = rec.conn_id
         factory = rec.factory
         if factory is not None:  # inlined PacketFactory.make
             seq = factory._next_seq
             factory._next_seq = seq + 1
             factory.created += 1
             packet = Packet(
-                seq, rec.size, rec.flow, t_emit, rec.app, rec.vf_index,
-                -1 if conn_id is None else conn_id,
-            )
-        elif conn_id is None:
-            packet = rec.make(
-                rec.size, rec.flow, t_emit, app=rec.app, vf_index=rec.vf_index
+                seq, rec.sizes[i], rec.flows[i], t_emit, rec.app, rec.vf_index, -1
             )
         else:
             packet = rec.make(
-                rec.size, rec.flow, t_emit,
-                app=rec.app, vf_index=rec.vf_index, conn_id=conn_id,
+                rec.sizes[i], rec.flows[i], t_emit, app=rec.app, vf_index=rec.vf_index
             )
         packet.nic_arrival = t_emit
         # Inlined BufferPool.try_allocate_asof(t_emit).
@@ -284,275 +271,17 @@ class FluidLane:
             buffers.exhaustion_drops += 1
             pipeline._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
             return
-        dispatch = self._dispatch
-        if (
-            not self._active
-            and not dispatch._items
-            and len(dispatch._getters) == self._n_workers
-        ):
-            self._active = True
-        # ---- inlined _try_fluid(packet, now) -------------------------
-        if dispatch._items or len(dispatch._getters) <= self._live:
+        if not self._active:  # as in arrival()
+            dispatch = self._dispatch
+            if not dispatch._items and len(dispatch._getters) == self._n_workers:
+                self._active = True
+        if not self._try_fluid(packet, now):
             self._spill(packet)
-            return
-        cache = self._labeler.cache
-        if cache is None:
-            self._spill(packet)
-            return
-        entries = cache._entries
-        key = (packet.flow, packet.vf_index)
-        entry = entries.get(key)
-        if entry is None:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        t = now + self._c_label
-        label, stored_at = entry
-        timeout = cache.idle_timeout
-        if timeout and (t - stored_at) > timeout:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        scheduler = self._scheduler
-        hierarchy = label.hierarchy
-        path = scheduler.path_cache.entries.get(hierarchy)
-        if path is None:
-            self._spill(packet)
-            return
-        meta = self._path_meta.get(hierarchy)
-        if meta is None or meta[0] is not path:
-            meta = self._path_meta[hierarchy] = (
-                path,
-                [(n, n.params.update_interval, n.params.expire_after) for n in path],
-            )
-        t_walk = t + self._c_emc
-        for node, interval, expire in meta[1]:  # inlined is_quiescent_at
-            if node.updating:
-                self._spill(packet)
-                return
-            if t_walk - node.last_update >= interval:
-                self._spill(packet)
-                return
-            if t_walk - node.last_seen > expire:
-                self._spill(packet)
-                return
-        n_nodes = len(path)
-        walk = self._c_walk
-        c_walk = walk.get(n_nodes)
-        if c_walk is None:
-            costs = self._costs
-            c_walk = walk[n_nodes] = self._cycles(
-                n_nodes * (costs.sched_per_class + costs.update_trylock)
-            )
-        t2 = t_walk + c_walk
-        t2 += self._c_meter
-        horizon = self._sim._horizon
-        if self._carry > horizon:
-            horizon = self._carry  # window barrier: a pause, not an end
-        if t2 > horizon:
-            self._spill(packet)
-            return
-        lenders = None
-        if self._params.borrow_enabled and label.borrow:
-            lenders = self._lenders(label.borrow)
-            if lenders and t2 + self._lender_bound[label.borrow] > horizon:
-                self._spill(packet)
-                return
-        # --- absorbed: the worker's pre-yield effects -----------------
-        reorder = self._reorder
-        if reorder is not None:  # inlined ReorderBuffer.take_ticket
-            ticket = reorder._next_ticket
-            reorder._next_ticket = ticket + 1
-        else:
-            ticket = -1
-        if timeout:
-            entry[1] = t  # get()'s idle refresh, in place
-        entries.move_to_end(key)
-        cache.hits += 1
-        # Inlined label.apply_to(packet).
-        packet.hierarchy_label = label.hierarchy
-        packet.borrow_label = label.borrow
-        for node in path:  # inlined Scheduler.touch_path
-            if t_walk > node.last_seen:
-                node.last_seen = t_walk
-        scheduler.stats.updates_skipped += n_nodes
-        job = _FluidJob(packet, ticket, path)
-        job.lenders = lenders
-        self._live += 1
-        self.absorbed += 1
-        if self._active:  # inlined _defer, the hot branch
-            _heappush(
-                self._micro, (t2, next(self._queue._counter), self._meter_step, job)
-            )
-        else:
-            self._materialized += 1
-            self._queue.push(t2, self._run_mat, (self._meter_step, job))
 
-    def trace_arrival(self, rec) -> None:
-        """Fused run-item callback for multi-flow trace trains
-        (``NicPipeline.submit_trace``) with the lane on — the
-        :meth:`burst_arrival` twin with per-item ``flows[i]``/
-        ``sizes[i]`` (``i`` is the train's ``seen`` cursor) instead of
-        per-train constants, plus the EMC-miss replay branch
-        (``fluid_classify``): in the million-flow regime every flow's
-        first packet misses, and a spill would suspend the lane per
-        flow. Keep in lockstep with ``burst_arrival``; each inlined
-        block names its source."""
-        now = self._sim._now
-        micro = self._micro
-        if micro and micro[0][0] <= now:  # inlined _flush(now)
-            while micro and micro[0][0] <= now:
-                tv, _, fn, jb = _heappop(micro)
-                fn(tv, jb)
-        pipeline = self._pipeline
-        i = rec.seen
-        rec.seen = seen = i + 1
-        if seen == rec.n:
-            pipeline._ingress_bursts.remove(rec)
-        t_emit = rec.times[i]
-        if t_emit > rec.cutoff:
-            return  # retired before its instant (unused by trace today)
-        rec.done += 1
-        pipeline._submitted += 1
-        flow = rec.flows[i]
-        size = rec.sizes[i]
-        factory = rec.factory
-        if factory is not None:  # inlined PacketFactory.make
-            seq = factory._next_seq
-            factory._next_seq = seq + 1
-            factory.created += 1
-            packet = Packet(
-                seq, size, flow, t_emit, rec.app, rec.vf_index, -1
-            )
-        else:
-            packet = rec.make(
-                size, flow, t_emit, app=rec.app, vf_index=rec.vf_index
-            )
-        packet.nic_arrival = t_emit
-        # Inlined BufferPool.try_allocate_asof(t_emit).
-        buffers = self._buffers
-        pending = buffers._pending
-        if pending and pending[0] <= t_emit:
-            free = buffers._free
-            while pending and pending[0] <= t_emit:
-                _heappop(pending)
-                free += 1
-            if free > buffers.count:
-                raise BufferExhausted("buffer pool over-released")
-            buffers._free = free
-        free = buffers._free - 1
-        if free >= 0:
-            buffers._free = free
-            buffers._outstanding += 1
-            if free < buffers.min_free:
-                buffers.min_free = free
-        else:
-            buffers.exhaustion_drops += 1
-            pipeline._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
-            return
-        dispatch = self._dispatch
-        if (
-            not self._active
-            and not dispatch._items
-            and len(dispatch._getters) == self._n_workers
-        ):
-            self._active = True
-        # ---- inlined _try_fluid(packet, now) -------------------------
-        if dispatch._items or len(dispatch._getters) <= self._live:
-            self._spill(packet)
-            return
-        cache = self._labeler.cache
-        if cache is None:
-            self._spill(packet)
-            return
-        entries = cache._entries
-        key = (flow, rec.vf_index)
-        entry = entries.get(key)
-        if entry is None:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        t = now + self._c_label
-        label, stored_at = entry
-        timeout = cache.idle_timeout
-        if timeout and (t - stored_at) > timeout:
-            if not (self._absorb_miss and self._try_fluid_miss(packet, now)):
-                self._spill(packet)
-            return
-        scheduler = self._scheduler
-        hierarchy = label.hierarchy
-        path = scheduler.path_cache.entries.get(hierarchy)
-        if path is None:
-            self._spill(packet)
-            return
-        meta = self._path_meta.get(hierarchy)
-        if meta is None or meta[0] is not path:
-            meta = self._path_meta[hierarchy] = (
-                path,
-                [(n, n.params.update_interval, n.params.expire_after) for n in path],
-            )
-        t_walk = t + self._c_emc
-        for node, interval, expire in meta[1]:  # inlined is_quiescent_at
-            if node.updating:
-                self._spill(packet)
-                return
-            if t_walk - node.last_update >= interval:
-                self._spill(packet)
-                return
-            if t_walk - node.last_seen > expire:
-                self._spill(packet)
-                return
-        n_nodes = len(path)
-        walk = self._c_walk
-        c_walk = walk.get(n_nodes)
-        if c_walk is None:
-            costs = self._costs
-            c_walk = walk[n_nodes] = self._cycles(
-                n_nodes * (costs.sched_per_class + costs.update_trylock)
-            )
-        t2 = t_walk + c_walk
-        t2 += self._c_meter
-        horizon = self._sim._horizon
-        if self._carry > horizon:
-            horizon = self._carry  # window barrier: a pause, not an end
-        if t2 > horizon:
-            self._spill(packet)
-            return
-        lenders = None
-        if self._params.borrow_enabled and label.borrow:
-            lenders = self._lenders(label.borrow)
-            if lenders and t2 + self._lender_bound[label.borrow] > horizon:
-                self._spill(packet)
-                return
-        # --- absorbed: the worker's pre-yield effects -----------------
-        reorder = self._reorder
-        if reorder is not None:  # inlined ReorderBuffer.take_ticket
-            ticket = reorder._next_ticket
-            reorder._next_ticket = ticket + 1
-        else:
-            ticket = -1
-        if timeout:
-            entry[1] = t  # get()'s idle refresh, in place
-        entries.move_to_end(key)
-        cache.hits += 1
-        # Inlined label.apply_to(packet).
-        packet.hierarchy_label = label.hierarchy
-        packet.borrow_label = label.borrow
-        for node in path:  # inlined Scheduler.touch_path
-            if t_walk > node.last_seen:
-                node.last_seen = t_walk
-        scheduler.stats.updates_skipped += n_nodes
-        job = _FluidJob(packet, ticket, path)
-        job.lenders = lenders
-        self._live += 1
-        self.absorbed += 1
-        if self._active:  # inlined _defer, the hot branch
-            _heappush(
-                self._micro, (t2, next(self._queue._counter), self._meter_step, job)
-            )
-        else:
-            self._materialized += 1
-            self._queue.push(t2, self._run_mat, (self._meter_step, job))
+    #: The same frame for multi-flow trace trains
+    #: (``NicPipeline.submit_trace``). perfbench's spans time burst and
+    #: trace ingress under these two names.
+    trace_arrival = burst_arrival
 
     def _spill(self, packet) -> None:
         """An ineligible packet: leave engaged mode (materialising any
@@ -592,11 +321,22 @@ class FluidLane:
         """Absorb *packet* if its whole decision is determined; returns
         False (no state touched) when it must take the real path.
 
-        The read-only checks mirror the elided branch of
-        ``handle_fast`` term for term; the mutations that follow
-        replicate the worker's pre-yield effects in the worker's exact
-        order (ticket, EMC hit bookkeeping, label stamp, early path
-        touch, skip counting) with the same float expressions.
+        The one quiescence gate, for EMC hits and — with
+        ``config.fluid_classify`` — replayed EMC misses alike. The
+        read-only checks mirror the elided branch of ``handle_fast``
+        term for term; the mutations that follow replicate the
+        worker's pre-yield effects in the worker's exact order (ticket,
+        labeling, early path touch, skip counting) with the same float
+        expressions. A hit and a miss differ only in where the label
+        comes from (the EMC entry, or :meth:`_try_fluid_miss`'s rule
+        walk), the walk cost charged before the scheduling walk
+        (``emc_hit``, or ``_c_miss``), and the labeling commit: a hit
+        replays ``ExactMatchCache.get``'s bookkeeping and stamps the
+        label; a miss runs the real, counted ``labeler.label`` — cache
+        get-miss, classify, insert with its eviction/expiry — and
+        memoises the path through the real ``PathCache``. So outcomes
+        are bit-identical to the per-packet path; only the kernel-event
+        count differs.
         """
         dispatch = self._dispatch
         if dispatch._items or len(dispatch._getters) <= self._live:
@@ -608,34 +348,57 @@ class FluidLane:
         cache = self._labeler.cache
         if cache is None:
             return False
+        # Label time: arrival + fixed overhead (handle_fast's ``t``).
+        t = now + self._c_label
         entries = cache._entries
         key = (packet.flow, packet.vf_index)
         entry = entries.get(key)
-        if entry is None:
-            # EMC miss: the classifier walk is slow-path — unless the
-            # lane is allowed to replay it analytically.
-            return self._absorb_miss and self._try_fluid_miss(packet, now)
-        # Label time: arrival + fixed overhead (handle_fast's ``t``).
-        t = now + self._c_label
-        label, stored_at = entry
         timeout = cache.idle_timeout
-        if timeout and (t - stored_at) > timeout:
-            # Idle-expired: the real get() would miss — same replay.
-            return self._absorb_miss and self._try_fluid_miss(packet, now)
+        if entry is not None and not (timeout and (t - entry[1]) > timeout):
+            label = entry[0]
+            t_walk = t + self._c_emc
+        elif self._absorb_miss:
+            # EMC miss, or idle-expired (the real get() would miss):
+            # replay the classifier walk analytically.
+            label = self._try_fluid_miss(packet)
+            if label is None:
+                return False
+            entry = None
+            c_miss = self._c_miss
+            if c_miss is None:
+                costs = self._costs
+                c_miss = self._c_miss = self._cycles(
+                    costs.emc_hit
+                    + costs.classify_per_rule * max(1, len(self._labeler.classifier))
+                )
+            t_walk = t + c_miss
+        else:
+            return False  # the classifier walk is slow-path
         scheduler = self._scheduler
-        path = scheduler.path_cache.entries.get(label.hierarchy)
-        if path is None:
-            return False
-        t_walk = t + self._c_emc
+        hierarchy = label.hierarchy
+        path = scheduler.path_cache.entries.get(hierarchy)
+        resolved = path is not None
+        if not resolved:
+            if entry is not None:
+                return False
+            # Pure resolve for the quiescence probe; the commit below
+            # memoises through the real PathCache (counter included).
+            tree = scheduler.tree
+            path = [tree.node(classid) for classid in hierarchy]
+        meta = self._path_meta.get(hierarchy)
+        if meta is None or meta[0] is not path:
+            meta = self._path_meta[hierarchy] = (
+                path,
+                [(n, n.params.update_interval, n.params.expire_after) for n in path],
+            )
         # Inlined ClassNode.is_quiescent_at — three conditions per
         # class, checked in the fast handler's short-circuit order.
-        for node in path:
+        for node, interval, expire in meta[1]:
             if node.updating:
                 return False
-            p = node.params
-            if t_walk - node.last_update >= p.update_interval:
+            if t_walk - node.last_update >= interval:
                 return False
-            if t_walk - node.last_seen > p.expire_after:
+            if t_walk - node.last_seen > expire:
                 return False
         n_nodes = len(path)
         walk = self._c_walk
@@ -665,12 +428,27 @@ class FluidLane:
                 return False
         # --- absorbed: the worker's pre-yield effects -----------------
         reorder = self._reorder
-        ticket = reorder.take_ticket() if reorder is not None else -1
-        if timeout:
-            entry[1] = t  # get()'s idle refresh, in place
-        entries.move_to_end(key)
-        cache.hits += 1
-        label.apply_to(packet)
+        if reorder is not None:  # inlined ReorderBuffer.take_ticket
+            ticket = reorder._next_ticket
+            reorder._next_ticket = ticket + 1
+        else:
+            ticket = -1
+        if entry is not None:
+            if timeout:
+                entry[1] = t  # get()'s idle refresh, in place
+            entries.move_to_end(key)
+            cache.hits += 1
+            # Inlined label.apply_to(packet).
+            packet.hierarchy_label = hierarchy
+            packet.borrow_label = label.borrow
+        else:
+            # The real, counted walk at the label timestamp —
+            # LabelingFunction.label is the exact code the fast handler
+            # runs.
+            self._labeler.label(packet, t)
+            if not resolved:
+                path = scheduler.path_cache.resolve(scheduler.tree, hierarchy)
+            self.miss_absorbed += 1
         for node in path:  # inlined Scheduler.touch_path
             if t_walk > node.last_seen:
                 node.last_seen = t_walk
@@ -679,111 +457,9 @@ class FluidLane:
         job.lenders = lenders
         self._live += 1
         self.absorbed += 1
-        if self._active:  # inlined _defer, the hot branch
-            heapq.heappush(
-                self._micro, (t2, next(self._queue._counter), self._meter_step, job)
-            )
-        else:
-            self._materialized += 1
-            self._queue.push(t2, self._run_mat, (self._meter_step, job))
-        return True
-
-    def _try_fluid_miss(self, packet, now: float) -> bool:
-        """Absorb an EMC-miss packet by replaying the classification
-        walk analytically (``config.fluid_classify``).
-
-        The pre-checks are side-effect-free — the rule walk below
-        (``Classifier.first_match``) leaves the classifier's
-        ``lookups``/``misses`` counters alone; the *committed* walk
-        (``labeler.label``) increments them exactly once, as the real
-        worker would. On commit, every mutation the trylock fast
-        handler performs on a miss (cache get-miss bookkeeping, rule
-        walk, cache insert with its eviction/expiry, label stamp, path
-        memoisation, early touch, skip counts) runs at the handler's
-        exact virtual timestamps, so outcomes are bit-identical to the
-        per-packet path; only the kernel-event count differs. Caller
-        guarantees the dispatch gate and a non-None cache.
-        """
-        labeler = self._labeler
-        leaf_id = labeler.classifier.first_match(packet)
-        if leaf_id is None:
-            leaf_id = labeler.default_leaf
-            if leaf_id is None:
-                return False  # unclassified drop: slow path handles it
-        label = labeler._labels.get(leaf_id)
-        if label is None:
-            return False  # UnknownClassError: let the real path raise
-        t = now + self._c_label
-        c_miss = self._c_miss
-        if c_miss is None:
-            costs = self._costs
-            c_miss = self._c_miss = self._cycles(
-                costs.emc_hit
-                + costs.classify_per_rule * max(1, len(labeler.classifier))
-            )
-        t_walk = t + c_miss
-        scheduler = self._scheduler
-        hierarchy = label.hierarchy
-        path = scheduler.path_cache.entries.get(hierarchy)
-        resolved = path is not None
-        if path is None:
-            # Pure resolve for the quiescence probe; the commit below
-            # memoises through the real PathCache (counter included).
-            tree = scheduler.tree
-            path = [tree.node(classid) for classid in hierarchy]
-        for node in path:  # inlined is_quiescent_at, as the hit path
-            if node.updating:
-                return False
-            p = node.params
-            if t_walk - node.last_update >= p.update_interval:
-                return False
-            if t_walk - node.last_seen > p.expire_after:
-                return False
-        n_nodes = len(path)
-        walk = self._c_walk
-        c_walk = walk.get(n_nodes)
-        if c_walk is None:
-            costs = self._costs
-            c_walk = walk[n_nodes] = self._cycles(
-                n_nodes * (costs.sched_per_class + costs.update_trylock)
-            )
-        t2 = t_walk + c_walk
-        t2 += self._c_meter
-        horizon = self._sim._horizon
-        if self._carry > horizon:
-            horizon = self._carry
-        if t2 > horizon:
-            return False  # handle_fast would keep the slow wakeups
-        lenders = None
-        if self._params.borrow_enabled and label.borrow:
-            lenders = self._lenders(label.borrow)
-            if lenders and t2 + self._lender_bound[label.borrow] > horizon:
-                return False
-        # --- absorbed: the worker's pre-yield effects -----------------
-        reorder = self._reorder
-        if reorder is not None:
-            ticket = reorder._next_ticket
-            reorder._next_ticket = ticket + 1
-        else:
-            ticket = -1
-        # The real, counted walk at the label timestamp: get-miss (or
-        # expiry), classify, cache.put with its eviction/expiry
-        # decision, label stamp — LabelingFunction.label is the exact
-        # code the fast handler runs.
-        labeler.label(packet, t)
-        if resolved:
-            shared = path
-        else:
-            shared = scheduler.path_cache.resolve(scheduler.tree, hierarchy)
-        for node in shared:  # inlined Scheduler.touch_path
-            if t_walk > node.last_seen:
-                node.last_seen = t_walk
-        scheduler.stats.updates_skipped += n_nodes
-        job = _FluidJob(packet, ticket, shared)
-        job.lenders = lenders
-        self._live += 1
-        self.absorbed += 1
-        self.miss_absorbed += 1
+        # Seqs come from the kernel counter at the same moment the real
+        # path would create its resume event, so (time, seq) ordering —
+        # including exact ties — matches the real interleaving.
         if self._active:
             _heappush(
                 self._micro, (t2, next(self._queue._counter), self._meter_step, job)
@@ -792,6 +468,25 @@ class FluidLane:
             self._materialized += 1
             self._queue.push(t2, self._run_mat, (self._meter_step, job))
         return True
+
+    def _try_fluid_miss(self, packet):
+        """The classifier's rule walk for an EMC-miss packet, without
+        committing it: :meth:`_try_fluid`'s label source on a miss.
+
+        ``Classifier.first_match`` leaves the classifier's
+        ``lookups``/``misses`` counters alone; the gate's committed
+        ``labeler.label`` increments them exactly once, as the real
+        worker would. Returns the packet's label, or None when the
+        real path must handle the packet.
+        """
+        labeler = self._labeler
+        leaf_id = labeler.classifier.first_match(packet)
+        if leaf_id is None:
+            leaf_id = labeler.default_leaf
+            if leaf_id is None:
+                return None  # unclassified drop: slow path handles it
+        # None on UnknownClassError: let the real path raise.
+        return labeler._labels.get(leaf_id)
 
     def _lenders(self, borrow) -> list:
         """The flattened lender-leaf walk of a borrow label, memoised
@@ -815,16 +510,6 @@ class FluidLane:
     # ------------------------------------------------------------------
     # the deferred micro-queue
     # ------------------------------------------------------------------
-    def _defer(self, t: float, fn, job) -> None:
-        # Seqs come from the kernel counter at the same moment the real
-        # path would create its resume event, so (time, seq) ordering —
-        # including exact ties — matches the real interleaving.
-        if self._active:
-            heapq.heappush(self._micro, (t, next(self._queue._counter), fn, job))
-        else:
-            self._materialized += 1
-            self._queue.push(t, self._run_mat, (fn, job))
-
     def _run_mat(self, fn, job) -> None:
         """A materialised micro-step executing as a kernel event (the
         wall clock IS the step's virtual time here). If the lane has
@@ -842,9 +527,8 @@ class FluidLane:
         (time, seq) order. Handlers may defer follow-up steps; the heap
         keeps the combined order."""
         micro = self._micro
-        heappop = heapq.heappop
         while micro and micro[0][0] <= limit:
-            tv, _, fn, job = heappop(micro)
+            tv, _, fn, job = _heappop(micro)
             fn(tv, job)
 
     def _suspend(self) -> None:
@@ -859,10 +543,9 @@ class FluidLane:
         self.suspends += 1
         push = self._queue.push
         run_mat = self._run_mat
-        heappop = heapq.heappop
         n = 0
         while micro:
-            tv, _, fn, job = heappop(micro)
+            tv, _, fn, job = _heappop(micro)
             push(tv, run_mat, (fn, job))
             n += 1
         self._materialized += n
@@ -912,8 +595,9 @@ class FluidLane:
         """Probe the current lender's update trylock at ``tv`` (the
         flag-hold window starts here, exactly as in the real walk) and
         defer the post-yield settle. The trylock gate and the defer are
-        inlined (ClassNode.try_begin_update / :meth:`_defer`) — this
-        runs once per red packet per lender probed."""
+        inlined (ClassNode.try_begin_update, and the defer of
+        :meth:`_try_fluid`) — this runs once per red packet per lender
+        probed."""
         lender = job.lenders[job.idx]
         if lender.updating or tv - lender.last_update < lender.params.update_interval:
             job.won = False
@@ -1121,8 +805,3 @@ class FluidLane:
     def in_flight(self) -> int:
         """Fluid jobs between absorption and completion."""
         return self._live
-
-    @property
-    def engaged(self) -> bool:
-        """True while the lane is absorbing eligible packets."""
-        return self._active

@@ -33,51 +33,42 @@ from .traffic_manager import TrafficManager
 
 __all__ = ["NicPipeline"]
 
-_INF = float("inf")
 
+class _IngressTrain:
+    """One precomputed emission train (DESIGN.md §7).
 
-class _IngressBurst:
-    """Bookkeeping for one precomputed emission train (DESIGN.md §7).
-
-    Shared between the pipeline (arrival cursor) and the submitting
-    sender (lazy sent-packet counting): emissions whose instant has
-    passed count as sent even before their DMA-completion run item
-    executes, and a congestion-feedback ``cutoff`` retires every
-    emission strictly after it.
+    A ``FixedRateSender`` burst (``submit_burst``: one flow and packet
+    size, repeated per item) or a batched trace window
+    (``submit_trace``: a flow and size per item, pre-merged by time
+    across many flows). Shared between the pipeline (arrival cursor)
+    and the submitter (lazy sent-packet counting): emissions whose
+    instant has passed count as sent even before their DMA-completion
+    run item executes.
 
     A train's run items always execute in train order: its instants
     ascend and their seqs are drawn in order at submission, and the
     run lane (merged or not) executes items by ``(time, seq)``. So
-    ``seen`` doubles as the cursor into ``times`` and every item
-    carries the same ``(rec,)`` args tuple instead of its own index.
+    ``seen`` doubles as the cursor into ``times``/``flows``/``sizes``
+    and every item carries the same ``(rec,)`` args tuple instead of
+    its own index.
     """
 
     __slots__ = (
-        "times", "cutoff", "done", "seen",
-        "make", "size", "flow", "app", "vf_index", "conn_id", "n", "factory",
+        "times", "flows", "sizes", "seen", "make", "app", "vf_index", "n", "factory",
     )
 
-    def __init__(
-        self, times: List[float], make, size, flow, app, vf_index, conn_id
-    ):
+    def __init__(self, times: List[float], flows, sizes, make, app, vf_index):
         #: Ascending emission instants of this train.
         self.times = times
-        #: Emissions strictly after this instant are retired (TCP
-        #: feedback rolls back the tail of an in-flight train).
-        self.cutoff = _INF
-        #: Arrival items executed and admitted (not retired).
-        self.done = 0
-        #: Run items executed, including retired ones — the index of
-        #: the next item's instant.
+        self.flows = flows
+        self.sizes = sizes
+        #: Run items executed — the index of the next item's instant.
         self.seen = 0
         # Per-train constants of every arrival item, carried here so
         # every run item shares one ``(rec,)`` args tuple.
         self.make = make
-        self.size = size
-        self.flow = flow
         self.app = app
         self.vf_index = vf_index
-        self.conn_id = conn_id
         self.n = len(times)
         #: The plain PacketFactory behind ``make``, or None when the
         #: maker is custom — lets the fluid lane mint packets without
@@ -92,59 +83,12 @@ class _IngressBurst:
         )
 
     def count_at(self, now: float) -> int:
-        """Valid emissions with instant <= min(now, cutoff)."""
-        cutoff = self.cutoff
-        limit = now if now < cutoff else cutoff
-        return bisect_right(self.times, limit)
+        """Emissions with instant <= now."""
+        return bisect_right(self.times, now)
 
     def settled(self, now: float) -> bool:
         """True when no future clock advance can change count_at."""
-        return self.cutoff <= now or self.times[-1] <= now
-
-
-class _TraceTrain:
-    """One multi-flow emission train from a trace workload window.
-
-    The :class:`_IngressBurst` analogue for batched trace generation
-    (DESIGN.md §12): a window's emissions across *many* flows arrive
-    pre-merged by time, with parallel per-item ``flows``/``sizes``
-    arrays instead of per-train constants — a million single-packet
-    flows would otherwise cost a million one-item trains and a
-    quadratic merge into the shared ingress run. Lazy-counting
-    protocol (``count_at``/``settled``/``done``) matches
-    ``_IngressBurst`` so ``NicPipeline.submitted`` folds both alike,
-    and so does the ``seen`` cursor that indexes ``times``/``flows``/
-    ``sizes``. Trace trains carry no congestion feedback: ``cutoff``
-    stays +inf.
-    """
-
-    __slots__ = (
-        "times", "flows", "sizes", "cutoff", "done", "seen",
-        "make", "app", "vf_index", "n", "factory",
-    )
-
-    def __init__(self, times: List[float], flows, sizes, make, app, vf_index):
-        self.times = times
-        self.flows = flows
-        self.sizes = sizes
-        self.cutoff = _INF
-        self.done = 0
-        self.seen = 0
-        self.make = make
-        self.app = app
-        self.vf_index = vf_index
-        self.n = len(times)
-        maker = getattr(make, "__self__", None)
-        self.factory = (
-            maker
-            if maker is not None
-            and maker.__class__ is PacketFactory
-            and getattr(make, "__func__", None) is PacketFactory.make
-            else None
-        )
-
-    count_at = _IngressBurst.count_at
-    settled = _IngressBurst.settled
+        return self.times[-1] <= now
 
 
 class NicPipeline:
@@ -236,7 +180,7 @@ class NicPipeline:
             )
         # --- statistics ------------------------------------------------
         self._submitted = 0
-        self._ingress_bursts: List[_IngressBurst] = []
+        self._ingress_trains: List[_IngressTrain] = []
         self.forwarded = 0
         self.dropped = 0
         self.drops_by_reason = {reason: 0 for reason in DropReason}
@@ -281,8 +225,8 @@ class NicPipeline:
         # per-drop callback. Anything else falls back to the per-packet
         # fast path, which is the reference it must match bit for bit.
         self._fluid = None
-        #: Shared ingress run merging every sender's burst train while
-        #: the fluid lane is on (see :meth:`submit_burst`).
+        #: Shared ingress run merging every sender's train while the
+        #: fluid lane is on (see :meth:`_push_train`).
         self._ingress_run = None
         if (
             config.fluid
@@ -324,11 +268,11 @@ class NicPipeline:
         as the per-packet route at any observation point.
         """
         n = self._submitted
-        bursts = self._ingress_bursts
-        if bursts:
+        trains = self._ingress_trains
+        if trains:
             now = self.sim._now
-            for rec in bursts:
-                n += rec.count_at(now) - rec.done
+            for rec in trains:
+                n += rec.count_at(now) - rec.seen
         return n
 
     def submit(self, packet: Packet) -> bool:
@@ -362,8 +306,7 @@ class NicPipeline:
         flow,
         app: str,
         vf_index: int,
-        conn_id: Optional[int] = None,
-    ) -> _IngressBurst:
+    ) -> _IngressTrain:
         """Offer a precomputed train of future emissions in one call.
 
         *times* are ascending absolute emission instants (>= now). The
@@ -376,31 +319,13 @@ class NicPipeline:
         the arrival items so factory sequence numbers are assigned in
         arrival order, exactly as per-packet ``submit`` would.
 
-        Returns the shared :class:`_IngressBurst` record; the sender
-        uses it for lazy sent-packet counting and (TCP) to retire the
-        unsent tail of the train on congestion feedback via ``cutoff``.
+        Returns the shared :class:`_IngressTrain` record; the sender
+        uses it for lazy sent-packet counting.
         """
-        rec = _IngressBurst(times, make, packet_size, flow, app, vf_index, conn_id)
-        self._ingress_bursts.append(rec)
-        latency = self.config.rx_dma_latency
+        n = len(times)
+        rec = _IngressTrain(times, [flow] * n, [packet_size] * n, make, app, vf_index)
         fluid = self._fluid
-        # With the lane on, the whole arrival chain runs in one fused
-        # frame (flush + admission + absorb) — see FluidLane.
-        arrive = self._burst_arrival if fluid is None else fluid.burst_arrival
-        args = (rec,)
-        entries = [(t + latency, arrive, args) for t in times]
-        if self._fluid is not None:
-            # Fluid lane on: merge every sender's train into ONE shared
-            # run so concurrent senders stop shredding each other's
-            # trains into per-item drain segments (item (time, seq)
-            # order — and hence behavior — is unchanged; only the
-            # executed-event count drops). Off, each burst keeps its
-            # own run so the fallback reproduces the PR 5 counts
-            # exactly.
-            self.sim._queue.merge_run(self.ingress_run(), entries)
-        else:
-            self.sim._queue.push_run(entries)
-        return rec
+        return self._push_train(rec, None if fluid is None else fluid.burst_arrival)
 
     def submit_trace(
         self,
@@ -410,7 +335,7 @@ class NicPipeline:
         sizes: List[int],
         app: str,
         vf_index: int = 0,
-    ) -> _TraceTrain:
+    ) -> _IngressTrain:
         """Offer one window's multi-flow emission train in one call.
 
         *times* are ascending absolute emission instants (>= now), with
@@ -424,19 +349,30 @@ class NicPipeline:
         ``submit_burst`` contract: per-arrival buffer decisions as-of
         each instant, factory sequence numbers in arrival order.
         """
-        rec = _TraceTrain(times, flows, sizes, make, app, vf_index)
-        self._ingress_bursts.append(rec)
-        latency = self.config.rx_dma_latency
+        rec = _IngressTrain(times, flows, sizes, make, app, vf_index)
         fluid = self._fluid
-        arrive = self._trace_arrival if fluid is None else fluid.trace_arrival
+        return self._push_train(rec, None if fluid is None else fluid.trace_arrival)
+
+    def _push_train(self, rec: _IngressTrain, fluid_arrival) -> _IngressTrain:
+        """Enqueue one DMA-completion run item per emission of *rec*.
+
+        With the lane on, every item runs *fluid_arrival* (the lane's
+        fused frame) and the train merges into the one shared ingress
+        run, so concurrent senders stop shredding each other's trains
+        into per-item drain segments (item ``(time, seq)`` order — and
+        hence behaviour — is unchanged; only the executed-event count
+        drops). Off, each train keeps its own run so the fallback
+        reproduces the burst-ingress counts exactly.
+        """
+        self._ingress_trains.append(rec)
+        latency = self.config.rx_dma_latency
+        arrive = self._train_arrival if fluid_arrival is None else fluid_arrival
         args = (rec,)
-        entries = [(t + latency, arrive, args) for t in times]
-        if fluid is not None:
-            # One shared run per pipeline, as in submit_burst — window
-            # trains append in time order, so each merge is O(window).
-            self.sim._queue.merge_run(self.ingress_run(), entries)
-        else:
+        entries = [(t + latency, arrive, args) for t in rec.times]
+        if fluid_arrival is None:
             self.sim._queue.push_run(entries)
+        else:
+            self.sim._queue.merge_run(self.ingress_run(), entries)
         return rec
 
     def ingress_run(self) -> EventRun:
@@ -453,64 +389,24 @@ class NicPipeline:
             run = self._ingress_run = EventRun()
         return run
 
-    def _burst_arrival(self, rec: _IngressBurst) -> None:
-        fluid = self._fluid
-        if fluid is not None:
-            # As in submit(): matured fluid buffer returns must land in
-            # the pool before try_allocate_asof(t_emit) below.
-            micro = fluid._micro
-            if micro and micro[0][0] <= self.sim._now:
-                fluid._flush(self.sim._now)
+    def _train_arrival(self, rec: _IngressTrain) -> None:
+        """Per-item DMA completion of an ingress train with the fluid
+        lane off (with the lane on, ``FluidLane.burst_arrival`` fuses
+        this with the lane's gate)."""
         i = rec.seen
         rec.seen = seen = i + 1
         if seen == rec.n:
-            self._ingress_bursts.remove(rec)
+            self._ingress_trains.remove(rec)
         t_emit = rec.times[i]
-        if t_emit > rec.cutoff:
-            return  # retired by congestion feedback before its instant
-        rec.done += 1
-        self._submitted += 1
-        conn_id = rec.conn_id
-        if conn_id is None:
-            packet = rec.make(
-                rec.size, rec.flow, t_emit, app=rec.app, vf_index=rec.vf_index
-            )
-        else:
-            packet = rec.make(
-                rec.size, rec.flow, t_emit,
-                app=rec.app, vf_index=rec.vf_index, conn_id=conn_id,
-            )
-        packet.nic_arrival = t_emit
-        if not self.buffers.try_allocate_asof(t_emit):
-            # Same decision the per-packet route takes at t_emit; the
-            # drop is *recorded* here at arrival (t_emit + DMA latency)
-            # — the only burst-mode timing shift, see DESIGN.md §7.
-            self._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
-            return
-        self._arrive_dma(packet)
-
-    def _trace_arrival(self, rec: _TraceTrain) -> None:
-        """Per-item DMA completion of a trace train (fluid lane off —
-        with the lane on :meth:`FluidLane.trace_arrival` fuses this)."""
-        fluid = self._fluid
-        if fluid is not None:
-            micro = fluid._micro
-            if micro and micro[0][0] <= self.sim._now:
-                fluid._flush(self.sim._now)
-        i = rec.seen
-        rec.seen = seen = i + 1
-        if seen == rec.n:
-            self._ingress_bursts.remove(rec)
-        t_emit = rec.times[i]
-        if t_emit > rec.cutoff:
-            return
-        rec.done += 1
         self._submitted += 1
         packet = rec.make(
             rec.sizes[i], rec.flows[i], t_emit, app=rec.app, vf_index=rec.vf_index
         )
         packet.nic_arrival = t_emit
         if not self.buffers.try_allocate_asof(t_emit):
+            # Same decision the per-packet route takes at t_emit; the
+            # drop is *recorded* here at arrival (t_emit + DMA latency)
+            # — the only burst-mode timing shift, see DESIGN.md §7.
             self._drop(packet, DropReason.NO_BUFFER, release_buffer=False)
             return
         self._arrive_dma(packet)

@@ -21,6 +21,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.frontend import FlowValveFrontend
 from repro.core.sched_tree import SchedulingParams
@@ -289,13 +291,13 @@ _G = 1e-3
 
 def _merged_trains():
     """Four interleaving trains in submission order: ``(kind, app,
-    vf_index, times, flows, sizes, cutoff)``. Trace train WS repeats
-    every fourth KVS instant and burst train ML every even one (exact
-    float ties); NC ties WS's half-steps and is retired mid-train."""
+    vf_index, times, flows, sizes)``. Trace train WS repeats every
+    fourth KVS instant and burst train ML every even one (exact float
+    ties); NC ties WS's half-steps and ends mid-run, at ``20.5 * _G``."""
     kvs_times = [i * _G for i in range(1, 41)]
     ws_times = sorted(kvs_times[::4] + [(i + 0.5) * _G for i in range(1, 41, 3)])
     ml_times = [i * _G for i in range(2, 42, 2)]
-    nc_times = [(i + 0.5) * _G for i in range(1, 41, 2)]
+    nc_times = [t for t in ((i + 0.5) * _G for i in range(1, 41, 2)) if t <= 20.5 * _G]
 
     def flows(vf, n, count):
         return [FiveTuple(f"10.{vf}.0.{k % count + 1}", "10.0.1.1", 40000 + k % count, 5001)
@@ -303,21 +305,25 @@ def _merged_trains():
 
     return [
         ("trace", "KVS", 2, kvs_times, flows(2, len(kvs_times), 3),
-         [200 + 31 * k for k in range(len(kvs_times))], None),
+         [200 + 31 * k for k in range(len(kvs_times))]),
         ("trace", "WS", 1, ws_times, flows(1, len(ws_times), 2),
-         [1500 - 17 * k for k in range(len(ws_times))], None),
+         [1500 - 17 * k for k in range(len(ws_times))]),
         ("burst", "ML", 3, ml_times, flows(3, len(ml_times), 1),
-         [1500] * len(ml_times), None),
+         [1500] * len(ml_times)),
         ("burst", "NC", 0, nc_times, flows(0, len(nc_times), 1),
-         [700] * len(nc_times), 20.5 * _G),
+         [700] * len(nc_times)),
     ]
 
 
-def _run_merged_trains(*, fluid: bool, trained: bool, record=None) -> dict:
-    """Run the merged-train workload: as trains handed to
+def _run_merged_trains(
+    trains, *, fluid: bool, trained: bool, fluid_classify: bool = False, record=None
+) -> dict:
+    """Run *trains* (``(kind, app, vf_index, times, flows, sizes)``
+    tuples, as :func:`_merged_trains` returns): as trains handed to
     ``submit_trace``/``submit_burst`` (*trained*), or as one ``submit``
-    per emission. *record*, a list, collects every minted packet in
-    mint order (a custom maker, so it takes the ``rec.make`` branch)."""
+    per emission. A burst train's flows and sizes repeat one value.
+    *record*, a list, collects every minted packet in mint order (a
+    custom maker, so it takes the ``rec.make`` branch)."""
     setup = _TRAIN_SETUP
     sim = Simulator(seed=setup.seed)
     frontend = FlowValveFrontend(
@@ -326,9 +332,8 @@ def _run_merged_trains(*, fluid: bool, trained: bool, record=None) -> dict:
         params=setup.sched_params(),
     )
     sink = PacketSink(sim, rate_window=1.0, record_delays=True)
-    nic = NicPipeline.with_flowvalve(
-        sim, replace(setup.nic_config(), fluid=fluid), frontend, receiver=sink.receive,
-    )
+    config = replace(setup.nic_config(), fluid=fluid, fluid_classify=fluid_classify)
+    nic = NicPipeline.with_flowvalve(sim, config, frontend, receiver=sink.receive)
     assert (nic._fluid is not None) == fluid
     factory = PacketFactory()
     make = factory.make
@@ -341,21 +346,20 @@ def _run_merged_trains(*, fluid: bool, trained: bool, record=None) -> dict:
     def emit(size, flow, app, vf_index):
         nic.submit(make(size, flow, sim.now, app=app, vf_index=vf_index))
 
-    for kind, app, vf, times, flows, sizes, cutoff in _merged_trains():
+    for kind, app, vf, times, flows, sizes in trains:
         if not trained:
             for t, flow, size in zip(times, flows, sizes):
-                if cutoff is None or t <= cutoff:
-                    sim.schedule_at(t, emit, size, flow, app, vf)
+                sim.schedule_at(t, emit, size, flow, app, vf)
         elif kind == "trace":
             nic.submit_trace(make, times, flows, sizes, app, vf)
         else:
-            rec = nic.submit_burst(make, times, sizes[0], flows[0], app, vf)
-            if cutoff is not None:
-                rec.cutoff = cutoff
+            nic.submit_burst(make, times, sizes[0], flows[0], app, vf)
     sim.run(until=0.2)
     observed = _observe(sim, nic, sink, [], [])
     observed["delays"] = sink.delays
     observed["created"] = factory.created
+    cache = nic.app.labeler.cache
+    observed["emc"] = (cache.hits, cache.misses, cache.evictions)
     return observed
 
 
@@ -365,30 +369,27 @@ class TestTrainOrder:
     An arrival item carries only its train record: it reads its index
     from the train's ``seen`` cursor, so every train's items must run
     in index order however the run interleaves them. Two trace trains
-    of different apps and two burst trains — one retired mid-train by
-    ``cutoff`` — interleave and tie exactly on instants.
+    of different apps and two burst trains interleave and tie exactly
+    on instants.
     """
 
     @pytest.mark.parametrize("fluid", [True, False], ids=["fluid", "no-fluid"])
     def test_each_arrival_mints_its_own_trains_next_packet(self, fluid):
         minted = []
-        _run_merged_trains(fluid=fluid, trained=True, record=minted)
+        _run_merged_trains(_merged_trains(), fluid=fluid, trained=True, record=minted)
         latency = _TRAIN_SETUP.nic_config().rx_dma_latency
         expected = []
-        for order, (_kind, app, _vf, times, flows, sizes, cutoff) in enumerate(_merged_trains()):
+        for order, (_kind, app, _vf, times, flows, sizes) in enumerate(_merged_trains()):
             for i, (t, flow, size) in enumerate(zip(times, flows, sizes)):
-                if cutoff is None or t <= cutoff:
-                    expected.append(((t + latency, order, i), (app, t, flow, size)))
+                expected.append(((t + latency, order, i), (app, t, flow, size)))
         expected.sort()
         assert [(p.app, p.created_at, p.flow, p.size) for p in minted] == [
             item for _key, item in expected
         ]
-        # The retired tail really was cut: NC emitted only up to cutoff.
-        assert sum(p.app == "NC" for p in minted) == 10
 
     def test_outcome_matches_per_packet_submit(self):
         runs = [
-            _run_merged_trains(fluid=fluid, trained=trained)
+            _run_merged_trains(_merged_trains(), fluid=fluid, trained=trained)
             for fluid in (True, False)
             for trained in (True, False)
         ]
@@ -399,6 +400,75 @@ class TestTrainOrder:
         assert all(run == trained_fluid for run in runs[1:])
         assert trained_fluid["delivered"] > 0
         assert trained_fluid["sched_dropped"] > 0
+
+
+#: The merged-train workload's apps, one per VF (as its senders are).
+_TRAIN_APPS = ("NC", "WS", "KVS", "ML")
+
+
+def _train_flow(vf: int, k: int) -> FiveTuple:
+    return FiveTuple(f"10.{vf}.0.{k}", "10.0.1.1", 40000 + k, 5001)
+
+
+#: Two KVS burst trains of one flow each. The second starts once the
+#: first has made the class active, so with ``fluid_classify`` on the
+#: lane absorbs its first packet's EMC miss by the classify replay.
+_BURST_MISS_TRAINS = [
+    ("burst", "KVS", 2, [k * (_G / 2) for k in range(1, 11)],
+     [_train_flow(2, 1)] * 10, [700] * 10),
+    ("burst", "KVS", 2, [k * (_G / 2) for k in range(30, 40)],
+     [_train_flow(2, 2)] * 10, [1500] * 10),
+]
+
+
+@st.composite
+def _generated_trains(draw):
+    """1-5 trains on a half-``_G`` instant grid, so that instants tie
+    exactly within and across trains. A burst train has one flow and
+    size; a trace train draws both per item, from a few flows per VF
+    so that EMC misses and hits mix."""
+    trains = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        kind = draw(st.sampled_from(("burst", "trace")))
+        vf = draw(st.integers(min_value=0, max_value=3))
+        ticks = draw(st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=40))
+        times = [k * (_G / 2) for k in sorted(ticks)]
+        flow = st.builds(_train_flow, st.just(vf), st.integers(min_value=1, max_value=4))
+        size = st.sampled_from((64, 300, 700, 1500))
+        n = len(times)
+        if kind == "burst":
+            flows, sizes = [draw(flow)] * n, [draw(size)] * n
+        else:
+            flows = draw(st.lists(flow, min_size=n, max_size=n))
+            sizes = draw(st.lists(size, min_size=n, max_size=n))
+        trains.append((kind, _TRAIN_APPS[vf], vf, times, flows, sizes))
+    return trains
+
+
+class TestGeneratedTrains:
+    """Differential check over generated trains: trained ingress
+    (``submit_burst``/``submit_trace``) against per-packet ``submit``,
+    with the fluid lane on and off and its classify replay
+    (``fluid_classify``) on and off — every observable, delays
+    included, must match; only the kernel-event count may differ."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(trains=_generated_trains())
+    @example(trains=_BURST_MISS_TRAINS)
+    def test_trained_matches_per_packet_submit(self, trains):
+        runs = {
+            (fluid, fluid_classify, trained): _run_merged_trains(
+                trains, fluid=fluid, trained=trained, fluid_classify=fluid_classify
+            )
+            for fluid, fluid_classify in ((True, True), (True, False), (False, False))
+            for trained in (True, False)
+        }
+        for run in runs.values():
+            del run["events"]
+        reference = runs[False, False, False]
+        for variant, run in runs.items():
+            assert run == reference, variant
+        assert reference["created"] == sum(len(train[3]) for train in trains)
 
 
 class TestFluidLaneEquivalence:
