@@ -21,6 +21,9 @@ from .sched_tree import SchedulingTree
 
 __all__ = ["LabelingFunction"]
 
+#: ``LabelingFunction.label``'s default: the rules are still to be walked.
+_UNWALKED = object()
+
 
 class LabelingFunction:
     """Classifies packets and stamps QoS labels.
@@ -66,11 +69,16 @@ class LabelingFunction:
         except KeyError:
             raise UnknownClassError(leaf_id) from None
 
-    def label(self, packet: Packet, now: float = 0.0) -> Optional[QosLabel]:
+    def label(
+        self, packet: Packet, now: float = 0.0, matched: object = _UNWALKED
+    ) -> Optional[QosLabel]:
         """Classify *packet*, stamp and return its label.
 
         Returns ``None`` (and marks the packet dropped) when no rule
-        matches and the policy has no default class.
+        matches and the policy has no default class. *matched* is the
+        rule walk's result (``Classifier.first_match``: a leaf id, or
+        None for no match) when the caller already walked the rules for
+        this packet; the lookup is then counted without walking again.
         """
         cache = self.cache
         key = (packet.flow, packet.vf_index)
@@ -79,7 +87,10 @@ class LabelingFunction:
             if cached is not None:
                 cached.apply_to(packet)
                 return cached
-        leaf_id = self.classifier.classify(packet)
+        if matched is _UNWALKED:
+            leaf_id = self.classifier.classify(packet)
+        else:
+            leaf_id = self.classifier.count(matched)
         if leaf_id is None:
             leaf_id = self.default_leaf
         if leaf_id is None:

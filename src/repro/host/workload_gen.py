@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.flow import PROTO_TCP, FiveTuple
 from ..net.packet import Packet, PacketFactory
+from ..sim.events import TrainCursor
 
 __all__ = ["FlowSpec", "WorkloadProfile", "TraceWorkload", "WORKLOAD_PRESETS"]
 
@@ -381,6 +382,10 @@ class TraceWorkload:
         return t, self.sample_flow_size()
 
     def _window_step(self) -> None:
+        # Retire every elapsed ledger (all instants of an earlier window
+        # precede this window's start), so a run holds only the current
+        # window's ledger however rarely its tallies are read.
+        self._fold()
         start = self._window_start
         end = start + self.window
         self.windows_generated += 1
@@ -507,12 +512,11 @@ class TraceWorkload:
                 self.app, self.vf_index,
             )
         else:
-            emit = self._emit_one
             self.sim._queue.push_run(
-                [
-                    (times_sorted[j], emit, (mints_sorted[j], flows_sorted[j]))
-                    for j in range(n)
-                ]
+                TrainCursor(
+                    times_sorted, self._emit_one,
+                    each=list(zip(mints_sorted, flows_sorted)),
+                )
             )
 
     def _emit_one(self, size: int, flow: FiveTuple) -> None:

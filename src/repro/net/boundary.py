@@ -19,8 +19,10 @@ and the batched egress paths with no link changes.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from ..sim.events import TrainCursor
 from .flow import FiveTuple
 from .packet import Packet
 
@@ -73,7 +75,9 @@ class RemoteIngress:
     Each window barrier injects the (already globally sorted) train of
     remote arrivals with one ``push_run`` — a single heap slot whose
     items interleave with local events exactly as individual deliveries
-    would. Delivery rebuilds a lightweight :class:`Packet` and feeds it
+    would. The train is one kernel cursor over the clamped arrival
+    times whose per-item arguments are the records themselves.
+    Delivery rebuilds a lightweight :class:`Packet` and feeds it
     through the domain's receive callable after folding the sink's
     lazy pending (so per-app accounting observes non-decreasing times).
 
@@ -111,22 +115,24 @@ class RemoteIngress:
         a float sum can land one ulp short of the boundary, which
         ``push_run`` (correctly) rejects as scheduling into the past.
         The clamp is applied identically in single- and multi-shard
-        runs, so it never breaks bit-identity.
+        runs, so it never breaks bit-identity. The queued train keeps
+        *records* until its items have run, so the caller must not
+        mutate the list afterwards.
         """
         if not records:
             return
-        deliver = self._deliver
-        entries = [
-            (time if time > barrier else barrier, deliver, rec)
-            for rec in records
-            for time in (rec[0],)
+        times = [
+            time if time > barrier else barrier for time in map(itemgetter(0), records)
         ]
+        # Each record is its item's argument tuple (``_deliver``'s
+        # signature), so the train keeps *records* rather than copying it.
+        train = TrainCursor(times, self._deliver, each=records)
         pipeline = self.pipeline
         if pipeline is not None and pipeline._fluid is not None:
             # Fluid destination: one shared run for all ingress trains.
-            self.sim._queue.merge_run(pipeline.ingress_run(), entries)
+            self.sim._queue.merge_run(pipeline.ingress_run(), train)
         else:
-            self.sim._queue.push_run(entries)
+            self.sim._queue.push_run(train)
 
     def _deliver(self, time: float, seq: int, size: int, created_at: float,
                  app: str, vf_index: int) -> None:

@@ -333,8 +333,9 @@ class FluidLane:
         (``emc_hit``, or ``_c_miss``), and the labeling commit: a hit
         replays ``ExactMatchCache.get``'s bookkeeping and stamps the
         label; a miss runs the real, counted ``labeler.label`` — cache
-        get-miss, classify, insert with its eviction/expiry — and
-        memoises the path through the real ``PathCache``. So outcomes
+        get-miss, the classifier's counters for the pre-walk's match,
+        insert with its eviction/expiry — and memoises the path through
+        the real ``PathCache``. So outcomes
         are bit-identical to the per-packet path; only the kernel-event
         count differs.
         """
@@ -360,9 +361,10 @@ class FluidLane:
         elif self._absorb_miss:
             # EMC miss, or idle-expired (the real get() would miss):
             # replay the classifier walk analytically.
-            label = self._try_fluid_miss(packet)
-            if label is None:
+            walked = self._try_fluid_miss(packet)
+            if walked is None:
                 return False
+            label, matched = walked
             entry = None
             c_miss = self._c_miss
             if c_miss is None:
@@ -442,10 +444,11 @@ class FluidLane:
             packet.hierarchy_label = hierarchy
             packet.borrow_label = label.borrow
         else:
-            # The real, counted walk at the label timestamp —
+            # The real, counted commit at the label timestamp —
             # LabelingFunction.label is the exact code the fast handler
-            # runs.
-            self._labeler.label(packet, t)
+            # runs — reusing the pre-walk's match instead of walking
+            # the rules a second time.
+            self._labeler.label(packet, t, matched)
             if not resolved:
                 path = scheduler.path_cache.resolve(scheduler.tree, hierarchy)
             self.miss_absorbed += 1
@@ -475,18 +478,23 @@ class FluidLane:
 
         ``Classifier.first_match`` leaves the classifier's
         ``lookups``/``misses`` counters alone; the gate's committed
-        ``labeler.label`` increments them exactly once, as the real
-        worker would. Returns the packet's label, or None when the
-        real path must handle the packet.
+        ``labeler.label`` is handed the walk's result and increments
+        them exactly once, as the real worker would, without walking
+        the rules again. Returns ``(label, matched)`` — the packet's
+        label and ``first_match``'s result — or None when the real path
+        must handle the packet.
         """
         labeler = self._labeler
-        leaf_id = labeler.classifier.first_match(packet)
+        matched = labeler.classifier.first_match(packet)
+        leaf_id = matched
         if leaf_id is None:
             leaf_id = labeler.default_leaf
             if leaf_id is None:
                 return None  # unclassified drop: slow path handles it
-        # None on UnknownClassError: let the real path raise.
-        return labeler._labels.get(leaf_id)
+        label = labeler._labels.get(leaf_id)
+        if label is None:
+            return None  # UnknownClassError: let the real path raise
+        return label, matched
 
     def _lenders(self, borrow) -> list:
         """The flattened lender-leaf walk of a borrow label, memoised

@@ -22,7 +22,7 @@ from ..net.link import Link
 from ..net.packet import DropReason, Packet, PacketFactory
 from ..net.sink import PacketSink
 from ..sim import Simulator, Store
-from ..sim.events import EventRun
+from ..sim.events import EventRun, TrainCursor
 from .apps import FlowValveNicApp, NicApp
 from .buffer_pool import BufferPool
 from .config import NicConfig
@@ -45,12 +45,12 @@ class _IngressTrain:
     instant has passed count as sent even before their DMA-completion
     run item executes.
 
-    A train's run items always execute in train order: its instants
-    ascend and their seqs are drawn in order at submission, and the
-    run lane (merged or not) executes items by ``(time, seq)``. So
-    ``seen`` doubles as the cursor into ``times``/``flows``/``sizes``
-    and every item carries the same ``(rec,)`` args tuple instead of
-    its own index.
+    The kernel sees the train as one
+    :class:`~repro.sim.events.TrainCursor` over ``times`` (offset by
+    the RX DMA latency) whose items all share one ``(rec,)`` args
+    tuple, and a cursor runs its items in order. So ``seen`` doubles as
+    the arrival items' index into ``times``/``flows``/``sizes``, and
+    no per-packet object exists before an item runs.
     """
 
     __slots__ = (
@@ -354,8 +354,12 @@ class NicPipeline:
         return self._push_train(rec, None if fluid is None else fluid.trace_arrival)
 
     def _push_train(self, rec: _IngressTrain, fluid_arrival) -> _IngressTrain:
-        """Enqueue one DMA-completion run item per emission of *rec*.
+        """Enqueue *rec* as one kernel train of DMA completions.
 
+        The kernel's :class:`~repro.sim.events.TrainCursor` reads the
+        train's own instant list with the RX DMA latency as its offset,
+        and every item shares one ``(rec,)`` args tuple, so the train
+        costs the kernel one cursor however many emissions it holds.
         With the lane on, every item runs *fluid_arrival* (the lane's
         fused frame) and the train merges into the one shared ingress
         run, so concurrent senders stop shredding each other's trains
@@ -365,14 +369,12 @@ class NicPipeline:
         reproduces the burst-ingress counts exactly.
         """
         self._ingress_trains.append(rec)
-        latency = self.config.rx_dma_latency
         arrive = self._train_arrival if fluid_arrival is None else fluid_arrival
-        args = (rec,)
-        entries = [(t + latency, arrive, args) for t in rec.times]
+        train = TrainCursor(rec.times, arrive, (rec,), offset=self.config.rx_dma_latency)
         if fluid_arrival is None:
-            self.sim._queue.push_run(entries)
+            self.sim._queue.push_run(train)
         else:
-            self.sim._queue.merge_run(self.ingress_run(), entries)
+            self.sim._queue.merge_run(self.ingress_run(), train)
         return rec
 
     def ingress_run(self) -> EventRun:

@@ -16,11 +16,11 @@ import heapq
 import itertools
 from collections import deque
 from operator import gt
-from typing import Any, Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 
-__all__ = ["Event", "EventQueue", "EventRun", "SimEvent", "AllOf", "AnyOf"]
+__all__ = ["Event", "EventQueue", "EventRun", "TrainCursor", "SimEvent", "AllOf", "AnyOf"]
 
 
 class Event:
@@ -57,33 +57,101 @@ class Event:
         return f"<Event t={self.time:.9f} #{self.seq} {getattr(self.fn, '__name__', self.fn)}{state}>"
 
 
-class EventRun:
-    """A time-sorted train of callbacks occupying a *single* heap slot.
+def _call_entry(time: float, fn: Callable[..., Any], args: Tuple[Any, ...]) -> None:
+    """Run one ``(time, fn, args)`` entry of a generic train."""
+    fn(*args)
 
-    The run lane: a burst of N pre-sorted future callbacks (e.g. the
-    RX DMA completions of a precomputed sender burst) is inserted with
-    one ``heappush`` via :meth:`EventQueue.push_run` instead of N. The
-    heap key is always the run's *head* item ``(time, seq)``; the event
-    loop peeks the remaining items against the heap top and the
-    ``_nowq`` FIFO after each callback, so interleaving with ordinary
-    events is exactly what N individual pushes would give. Each item
-    carries its own ``seq`` drawn from the queue's shared counter at
-    insertion, preserving equal-time tie-breaks across lanes.
 
-    ``cancel()`` kills every not-yet-executed item in the train (lazy,
-    O(1)); individual items cannot be cancelled separately.
+class TrainCursor:
+    """One time-sorted train of run-lane items and the kernel's cursor
+    into it.
+
+    Item ``i`` fires at ``times[i] + offset`` with seq ``seq + i`` and
+    runs ``call(*args)``, or ``call(*each[i])`` when the train carries
+    per-item arguments. The cursor keeps the producer's own instant
+    list (never copied), and each item's time is computed when the
+    item runs, so a train of any length costs the kernel one object
+    and one heap entry. ``seq`` is a block drawn from the queue's
+    shared counter when the train is merged (so a cursor is merged at
+    most once); ``pos`` is the index of the next item to run.
+
+    ``TrainCursor.from_entries`` wraps a sequence of ``(time, fn,
+    args)`` entries whose callbacks differ from item to item.
     """
 
-    __slots__ = ("_items", "cancelled", "_queued", "_executing", "_key")
+    __slots__ = ("times", "offset", "call", "args", "each", "seq", "pos", "n")
+
+    def __init__(
+        self,
+        times: Sequence[float],
+        call: Callable[..., Any],
+        args: Tuple[Any, ...] = (),
+        each: Optional[Sequence[Tuple[Any, ...]]] = None,
+        offset: float = 0.0,
+    ):
+        #: Non-decreasing item instants (the producer's list).
+        self.times = times
+        #: Added to every instant when its item runs (e.g. a DMA latency).
+        self.offset = offset
+        self.call = call
+        #: Arguments shared by every item (used when ``each`` is None).
+        self.args = args
+        #: Per-item argument tuples, or None.
+        self.each = each
+        #: First seq of the train's block; None until merged.
+        self.seq: Optional[int] = None
+        self.pos = 0
+        self.n = len(times)
+
+    @classmethod
+    def from_entries(
+        cls, entries: Iterable[Tuple[float, Callable[..., Any], Tuple[Any, ...]]]
+    ) -> "TrainCursor":
+        """A train of ``(time, fn, args)`` entries, each item running
+        its own ``fn(*args)``."""
+        entries = list(entries)
+        return cls([entry[0] for entry in entries], _call_entry, each=entries)
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<TrainCursor {self.pos}/{self.n} {getattr(self.call, '__name__', self.call)}>"
+
+
+def _as_cursor(train) -> TrainCursor:
+    return train if train.__class__ is TrainCursor else TrainCursor.from_entries(train)
+
+
+class EventRun:
+    """Time-sorted trains of callbacks sharing a *single* heap slot.
+
+    The run lane: a train of N pre-sorted future callbacks (the RX DMA
+    completions of a sender burst, a trace window, a barrier train) is
+    one :class:`TrainCursor`, and merging it into a run is one push on
+    the run's small heap of cursors, keyed by each train's next item
+    ``(time, seq)``. The kernel heap holds the run once, keyed by its
+    earliest item; the event loop drains items in place, taking each
+    from the cursor whose item is earliest, while that item still beats
+    the heap top and the ``_nowq`` FIFO, so interleaving with ordinary
+    events is exactly what N individual pushes would give. A train's
+    seq block is drawn from the queue's shared counter when it is
+    merged, preserving equal-time tie-breaks across lanes.
+
+    ``cancel()`` kills every not-yet-executed item of every train in
+    the run (lazy, O(1)); individual items cannot be cancelled.
+    """
+
+    __slots__ = ("_trains", "_cur", "cancelled", "_queued", "_key")
 
     def __init__(self) -> None:
-        #: (time, seq, fn, args) tuples, non-decreasing in (time, seq).
-        self._items: Deque[Tuple[float, int, Callable[..., Any], Tuple[Any, ...]]] = deque()
+        #: Heap of ``(time, seq, cursor)``, one entry per pending train,
+        #: keyed by the train's next item. Seqs are unique, so entries
+        #: never compare cursors.
+        self._trains: List[Tuple[float, int, TrainCursor]] = []
+        #: The cursor the event loop is draining (held outside
+        #: ``_trains`` while its items run), or None.
+        self._cur: Optional[TrainCursor] = None
         self.cancelled = False
         #: True while the run sits in the heap under its head's key.
         self._queued = False
-        #: True while the event loop is draining items from this run.
-        self._executing = False
         #: The (time, seq) key of the run's *live* heap entry.
         #: :meth:`EventQueue.merge_run` can move the head earlier than
         #: the queued key; it then pushes a fresh entry and the old one
@@ -91,14 +159,33 @@ class EventRun:
         #: does not match this slot.
         self._key: Optional[Tuple[float, int]] = None
 
+    def _cursors(self) -> List[TrainCursor]:
+        cursors = [entry[2] for entry in self._trains]
+        if self._cur is not None:
+            cursors.append(self._cur)
+        return cursors
+
     def __len__(self) -> int:
-        return len(self._items)
+        return sum(cursor.n - cursor.pos for cursor in self._cursors())
 
     @property
     def next_time(self) -> Optional[float]:
         """Timestamp of the next pending item, or ``None`` if drained."""
-        items = self._items
-        return items[0][0] if items else None
+        pending = [
+            cursor.times[cursor.pos] + cursor.offset
+            for cursor in self._cursors()
+            if cursor.pos < cursor.n
+        ]
+        return min(pending) if pending else None
+
+    def _last_time(self) -> Optional[float]:
+        """Timestamp of the last pending item, or ``None`` if drained."""
+        pending = [
+            cursor.times[cursor.n - 1] + cursor.offset
+            for cursor in self._cursors()
+            if cursor.pos < cursor.n
+        ]
+        return max(pending) if pending else None
 
     def cancel(self) -> None:
         """Drop every item not yet executed. Idempotent, O(1)."""
@@ -106,7 +193,7 @@ class EventRun:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
-        return f"<EventRun n={len(self._items)}{state}>"
+        return f"<EventRun n={len(self)} trains={len(self._cursors())}{state}>"
 
 
 class EventQueue:
@@ -192,83 +279,68 @@ class EventQueue:
         self._live += k
         return events
 
-    def push_run(
-        self, entries: Sequence[Tuple[float, Callable[..., Any], Tuple[Any, ...]]]
-    ) -> EventRun:
-        """Insert a time-sorted train of ``(time, fn, args)`` callbacks.
+    def push_run(self, train) -> EventRun:
+        """Insert a time-sorted train as a new :class:`EventRun`.
 
-        The whole train costs one heap operation: it is wrapped in an
-        :class:`EventRun` keyed by its first entry, and the event loop
-        drains it in place, re-keying only when an interleaving event
-        (heap or ``_nowq``) must run first. Entry times must be
-        non-decreasing and ``>=`` the simulator's current time (callers
-        guarantee the latter, as with :meth:`push_now`).
+        *train* is a :class:`TrainCursor`, or a sequence of ``(time,
+        fn, args)`` entries. The whole train costs one heap operation:
+        the run is keyed by its first item, and the event loop drains it
+        in place, re-keying only when an interleaving event (heap or
+        ``_nowq``) must run first. Item times must be non-decreasing and
+        ``>=`` the simulator's current time (callers guarantee the
+        latter, as with :meth:`push_now`).
 
-        Sequence numbers are drawn in iteration order from the shared
-        counter, so equal-time ties against other lanes resolve exactly
-        as N individual :meth:`push` calls issued now would.
+        The train's seqs are drawn as one block from the shared counter,
+        so equal-time ties against other lanes resolve exactly as N
+        individual :meth:`push` calls issued now would.
         """
         run = EventRun()
-        self.extend_run(run, entries)
+        self._merge(run, _as_cursor(train))
         return run
 
-    def extend_run(
-        self,
-        run: EventRun,
-        entries: Sequence[Tuple[float, Callable[..., Any], Tuple[Any, ...]]],
-    ) -> None:
-        """Append ``(time, fn, args)`` entries to *run* (may be in flight).
+    def extend_run(self, run: EventRun, train) -> None:
+        """Append a train to *run* (which may be in flight).
 
-        Appending to a queued or executing run is legal as long as the
-        times keep the train monotone; the run is (re-)armed in the heap
-        only when it is neither queued nor currently being drained.
+        Like :meth:`merge_run`, but the train must not start before the
+        run's last pending item: appending keeps the run's items
+        monotone in arrival order.
         """
         if run.cancelled:
             raise SimulationError("cannot extend a cancelled EventRun")
-        items = run._items
-        counter = self._counter
-        last = items[-1][0] if items else None
-        n = 0
-        for time, fn, args in entries:
-            if last is not None and time < last:
+        cursor = _as_cursor(train)
+        last = run._last_time()
+        if cursor.n and last is not None:
+            first = cursor.times[0] + cursor.offset
+            if first < last:
                 raise SimulationError(
-                    f"EventRun entries must be time-sorted ({time} < {last})"
+                    f"EventRun entries must be time-sorted ({first} < {last})"
                 )
-            last = time
-            items.append((time, next(counter), fn, args))
-            n += 1
-        if n == 0:
-            return
-        self._live += n
-        if not run._queued and not run._executing:
-            head = items[0]
-            heapq.heappush(self._heap, (head[0], head[1], run))
-            run._queued = True
-            run._key = (head[0], head[1])
+        self._merge(run, cursor)
 
-    def merge_run(
-        self,
-        run: EventRun,
-        entries: Sequence[Tuple[float, Callable[..., Any], Tuple[Any, ...]]],
-    ) -> None:
-        """Merge time-sorted *entries* into *run*, re-keying its heap
+    def merge_run(self, run: EventRun, train) -> None:
+        """Merge a time-sorted train into *run*, re-keying its heap
         entry if the head moves earlier.
 
-        Unlike :meth:`extend_run`, the new entries may interleave with
-        — or precede — the run's pending items: the two sorted
-        sequences are merged in place by ``(time, seq)``. Each new item
-        still draws its seq from the shared counter *now*, so the
-        combined execution order (including equal-time tie-breaks
-        against other lanes) is exactly what individual :meth:`push`
-        calls issued at this moment would give; merging only changes
-        how many heap slots and drain segments the items cost. When the
-        merged head is earlier than the queued key, a fresh heap entry
-        is pushed and the old one goes stale — the event loop and
-        :meth:`pop` detect staleness via ``run._key`` and discard it.
+        *train* is a :class:`TrainCursor` or a sequence of ``(time, fn,
+        args)`` entries. Its items may interleave with — or precede —
+        the run's pending items: the run orders its trains by their
+        next items, so merging is one push on the run's cursor heap,
+        whatever the train's length. The train draws its seq block from
+        the shared counter *now*, so the combined execution order
+        (including equal-time tie-breaks against other lanes) is exactly
+        what individual :meth:`push` calls issued at this moment would
+        give; merging only changes how many heap slots and drain
+        segments the items cost. When the merged head is earlier than
+        the queued key, a fresh heap entry is pushed and the old one
+        goes stale — the event loop and :meth:`pop` detect staleness
+        via ``run._key`` and discard it.
         """
         if run.cancelled:
             raise SimulationError("cannot merge into a cancelled EventRun")
-        times = [entry[0] for entry in entries]
+        self._merge(run, _as_cursor(train))
+
+    def _merge(self, run: EventRun, cursor: TrainCursor) -> None:
+        times = cursor.times
         if any(map(gt, times, itertools.islice(times, 1, None))):
             last, time = next(
                 pair for pair in zip(times, times[1:]) if pair[0] > pair[1]
@@ -276,48 +348,34 @@ class EventQueue:
             raise SimulationError(
                 f"EventRun entries must be time-sorted ({time} < {last})"
             )
-        if not times:
+        n = cursor.n
+        if not n:
             return
-        # zip stops at the end of *entries* before drawing another seq.
-        new = [
-            (time, seq, fn, args)
-            for (time, fn, args), seq in zip(entries, self._counter)
-        ]
-        self._live += len(new)
-        items = run._items
-        if not items or items[-1][0] <= new[0][0]:
-            # Pure append: every pending item fires no later than the
-            # first new one (new seqs are larger, so an equal-time tail
-            # still precedes the new head).
-            items.extend(new)
-        else:
-            # In-place sorted merge — the event loop may hold a
-            # reference to this deque, so never rebind ``_items``.
-            # ``(time, seq)`` keys are unique, so sorting the two
-            # sorted runs (one linear timsort merge) never compares
-            # callbacks and yields exactly the ``heapq.merge`` order.
-            merged = list(items)
-            merged += new
-            merged.sort()
-            items.clear()
-            items.extend(merged)
-        if run._executing:
-            return  # the drain loop re-arms with the merged head
-        head = items[0]
-        key = (head[0], head[1])
+        if cursor.seq is not None:
+            raise SimulationError("a TrainCursor can be merged only once")
+        # One block of n seqs: the counter resumes after the block.
+        seq = next(self._counter)
+        self._counter = itertools.count(seq + n)
+        cursor.seq = seq
+        self._live += n
+        time = times[0] + cursor.offset
+        heapq.heappush(run._trains, (time, seq, cursor))
+        if run._cur is not None:
+            return  # executing: the drain loop takes the new train in turn
+        # The new train's seqs are the newest, so it heads the run only
+        # if it starts strictly earlier than the queued key.
         if not run._queued:
-            heapq.heappush(self._heap, (key[0], key[1], run))
+            heapq.heappush(self._heap, (time, seq, run))
             run._queued = True
-            run._key = key
-        elif key != run._key:
-            heapq.heappush(self._heap, (key[0], key[1], run))
-            run._key = key
+            run._key = (time, seq)
+        elif time < run._key[0]:
+            heapq.heappush(self._heap, (time, seq, run))
+            run._key = (time, seq)
 
     def _discard_run(self, run: EventRun) -> None:
         """Drop all pending items of a cancelled run (already un-heaped)."""
-        items = run._items
-        self._live -= len(items)
-        items.clear()
+        self._live -= len(run)
+        run._trains.clear()
         run._queued = False
 
     def pop(self) -> Event:
@@ -327,7 +385,7 @@ class EventQueue:
 
         Run-lane entries are unbundled one item at a time: the head
         item is returned (wrapped as an :class:`Event`) and the rest of
-        the train is re-keyed into the heap. Only the cold
+        the run is re-keyed into the heap. Only the cold
         :meth:`Simulator.step` path pays this.
         """
         heap = self._heap
@@ -355,16 +413,29 @@ class EventQueue:
                     if payload.cancelled:
                         self._discard_run(payload)
                         continue
-                    t, s, fn, args = payload._items.popleft()
+                    trains = payload._trains
+                    if not trains:
+                        continue  # a drained run's second entry (see Simulator.run)
+                    cursor = trains[0][2]
+                    i = cursor.pos
+                    cursor.pos = j = i + 1
+                    if j < cursor.n:
+                        heapq.heapreplace(
+                            trains, (cursor.times[j] + cursor.offset, cursor.seq + j, cursor)
+                        )
+                    else:
+                        heapq.heappop(trains)
                     self._live -= 1
                     payload._queued = False
-                    items = payload._items
-                    if items:
-                        head = items[0]
+                    if trains:
+                        head = trains[0]
                         heapq.heappush(heap, (head[0], head[1], payload))
                         payload._queued = True
                         payload._key = (head[0], head[1])
-                    return Event(t, s, fn, args)
+                    each = cursor.each
+                    return Event(
+                        time, seq, cursor.call, cursor.args if each is None else each[i]
+                    )
                 # Resume-lane entry: wrap it so pop()'s contract holds
                 # (only the cold step() path pays this allocation).
                 self._live -= 1

@@ -199,6 +199,7 @@ class Simulator:
         heap = queue._heap
         nowq = queue._nowq
         heappop = heapq.heappop
+        heapreplace = heapq.heapreplace
         # One float comparison per event instead of a None test + a
         # comparison: an open-ended run uses +inf as its horizon.
         horizon = float("inf") if until is None else until
@@ -246,9 +247,13 @@ class Simulator:
                 cls = payload.__class__
                 if cls is not Event:
                     if cls is EventRun:
-                        # Run-lane entry: drain the train in place while
-                        # its head still beats the heap top and the
-                        # zero-delay FIFO, then re-key the remainder.
+                        # Run-lane entry: drain its trains in place while
+                        # the earliest pending item still beats the heap
+                        # top and the zero-delay FIFO, then re-key the
+                        # remainder. The train being drained is held in
+                        # locals (``cur``, its fields, and ``i``, the
+                        # index of its next item at ``t``); a train
+                        # whose next item comes first swaps in.
                         if (top[0], top[1]) != payload._key:
                             heappop(heap)  # stale key from merge_run
                             continue
@@ -260,40 +265,90 @@ class Simulator:
                             break
                         heappop(heap)
                         payload._queued = False
-                        payload._executing = True
-                        items = payload._items
                         # The whole drained segment counts as ONE
                         # executed kernel event: one heap pop dispatched
                         # it (that is the point of the run lane).
                         executed += 1
-                        while items:
-                            head = items[0]
-                            t = head[0]
+                        trains = payload._trains
+                        if not trains:
+                            # A second entry under the run's key: the run
+                            # re-armed under the key of one of its stale
+                            # entries and has drained since. The empty
+                            # segment still counts as an executed event, so
+                            # event counts stay those of a flat item list
+                            # (the reference lane in test_sim_runlane.py).
+                            continue
+                        t, _, cur = heappop(trains)
+                        payload._cur = cur
+                        times = cur.times
+                        off = cur.offset
+                        seq0 = cur.seq
+                        call = cur.call
+                        args = cur.args
+                        each = cur.each
+                        n = cur.n
+                        i = cur.pos
+                        while True:
+                            if trains:
+                                other = trains[0]
+                                if other[0] < t or (
+                                    other[0] == t and other[1] < seq0 + i
+                                ):
+                                    t, _, cur = heapreplace(trains, (t, seq0 + i, cur))
+                                    payload._cur = cur
+                                    times = cur.times
+                                    off = cur.offset
+                                    seq0 = cur.seq
+                                    call = cur.call
+                                    args = cur.args
+                                    each = cur.each
+                                    n = cur.n
+                                    i = cur.pos
+                            if payload.cancelled:
+                                queue._discard_run(payload)
+                                cur = None
+                                break
                             if t > horizon:
                                 break
-                            if payload.cancelled:
-                                queue._live -= len(items)
-                                items.clear()
-                                break
-                            s = head[1]
                             if nowq:
                                 ev = nowq[0]
-                                if ev.time < t or (ev.time == t and ev.seq < s):
+                                if ev.time < t or (ev.time == t and ev.seq < seq0 + i):
                                     break
                             if heap:
                                 top2 = heap[0]
-                                if top2[0] < t or (top2[0] == t and top2[1] < s):
+                                if top2[0] < t or (top2[0] == t and top2[1] < seq0 + i):
                                     break
-                            items.popleft()
+                            cur.pos = i + 1
                             queue._live -= 1
                             self._now = t
-                            head[2](*head[3])
-                        payload._executing = False
-                        if items and not payload.cancelled:
-                            head = items[0]
-                            heapq.heappush(heap, (head[0], head[1], payload))
+                            if each is None:
+                                call(*args)
+                            else:
+                                call(*each[i])
+                            i += 1
+                            if i < n:
+                                t = times[i] + off
+                            elif trains:
+                                t, _, cur = heappop(trains)
+                                payload._cur = cur
+                                times = cur.times
+                                off = cur.offset
+                                seq0 = cur.seq
+                                call = cur.call
+                                args = cur.args
+                                each = cur.each
+                                n = cur.n
+                                i = cur.pos
+                            else:
+                                cur = None
+                                break
+                        payload._cur = None
+                        if cur is not None:
+                            s = seq0 + i
+                            heapq.heappush(trains, (t, s, cur))
+                            heapq.heappush(heap, (t, s, payload))
                             payload._queued = True
-                            payload._key = (head[0], head[1])
+                            payload._key = (t, s)
                         continue
                     # Resume-lane entry (bare process-resume callable).
                     if top[0] > horizon:

@@ -145,8 +145,13 @@ class Classifier:
 
     def classify(self, packet: Packet) -> Optional[str]:
         """Leaf class id for *packet*, or ``None`` on no match."""
+        return self.count(self.first_match(packet))
+
+    def count(self, leaf_id: Optional[str]) -> Optional[str]:
+        """Count one lookup whose rule walk (:meth:`first_match`) gave
+        *leaf_id*, and return it: :meth:`classify` for a caller that
+        already walked the rules."""
         self.lookups += 1
-        leaf_id = self.first_match(packet)
         if leaf_id is None:
             self.misses += 1
         return leaf_id

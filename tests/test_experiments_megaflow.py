@@ -168,3 +168,47 @@ def test_golden_run(seed):
         "min_free": nic.buffers.min_free,
     }
     assert observed == GOLDEN[seed]
+
+
+def _classify_counts(fluid_classify):
+    """Run the short megaflow trace counting rule walks; returns the
+    counters and the number of pre-walks that did not absorb."""
+    sim, nic, _sink, _ = megaflow.build(duration=DURATION, fluid_classify=fluid_classify)
+    classifier = nic.app.labeler.classifier
+    lane = nic._fluid
+    walks = [0, 0]  # first_match calls, lane pre-walks
+    first_match = classifier.first_match
+    prewalk = lane._try_fluid_miss
+
+    def counted_first_match(packet):
+        walks[0] += 1
+        return first_match(packet)
+
+    def counted_prewalk(packet):
+        walks[1] += 1
+        return prewalk(packet)
+
+    classifier.first_match = counted_first_match
+    lane._try_fluid_miss = counted_prewalk
+    sim.run(until=DURATION * megaflow.DEFAULT_SETUP.scale * 1.02)
+    cache = nic.app.labeler.cache
+    counters = (
+        cache.hits, cache.misses, cache.evictions, cache.expirations, len(cache),
+        classifier.lookups, classifier.misses,
+    )
+    return counters, walks[0], walks[1] - lane.miss_absorbed, lane.miss_absorbed
+
+
+def test_absorbed_miss_walks_the_rules_once():
+    """An absorbed EMC miss walks the classifier once: the counted
+    commit reuses the lane's pre-walk. Every cache and classifier
+    counter matches the run without classification replay."""
+    counters, walks, unabsorbed_prewalks, absorbed = _classify_counts(True)
+    plain, plain_walks, _, plain_absorbed = _classify_counts(False)
+    assert counters == plain
+    assert absorbed > 1_000 and plain_absorbed == 0
+    lookups = counters[5]
+    assert plain_walks == lookups
+    # One walk per lookup, plus the real path's own walk for a packet
+    # the lane pre-walked but then spilled.
+    assert walks == lookups + unabsorbed_prewalks

@@ -189,3 +189,39 @@ class TestBatchedEngine:
         )
         flows = {p.flow for p in sent}
         assert len(flows) == workload.flows_started > 10_000
+
+
+class TestLedgerFold:
+    def test_elapsed_ledgers_fold_every_window(self):
+        """Each window step retires the ledgers that have elapsed, so a
+        run whose tallies are read only at the end holds at most one
+        ledger per workload, and reports the reference engine's
+        tallies (DESIGN.md §12: O(active flows + one window))."""
+
+        loads = {"kvs": 2e6, "ml": 1e8, "web": 2e7}
+
+        def build(mode):
+            sim = Simulator(seed=4)
+            factory = PacketFactory()
+            workloads = [
+                TraceWorkload(
+                    sim, preset, WORKLOAD_PRESETS[preset], offered_load_bps=load,
+                    submit=lambda p: True, factory=factory, vf_index=index,
+                    duration=3.0, mode=mode, window=0.5 if mode == "batched" else None,
+                )
+                for index, (preset, load) in enumerate(sorted(loads.items()))
+            ]
+            sim.run(until=6.0)
+            return workloads
+
+        batched = build("batched")
+        for workload in batched:
+            assert workload.windows_generated >= 3
+            assert len(workload._ledgers) <= 1
+        tallies = [
+            (w.flows_started, w.flows_completed, w.bytes_offered) for w in batched
+        ]
+        assert tallies == [
+            (w.flows_started, w.flows_completed, w.bytes_offered)
+            for w in build("process")
+        ]
