@@ -9,12 +9,12 @@ instruction as continuously-accruing matters (DESIGN.md §5.3).
 
 from conftest import run_once
 
-from repro.experiments import run_update_interval_sensitivity
+from repro.experiments import ablations
 from repro.stats.report import Table
 
 
 def test_update_interval_sensitivity(benchmark, emit):
-    results = run_once(benchmark, run_update_interval_sensitivity)
+    results = run_once(benchmark, ablations.interval_sensitivity).overshoot
 
     table = Table(
         "A-INTERVAL — worst 0.5 s window overshoot vs ΔT (2x overload)",

@@ -9,15 +9,14 @@ same throughput as the rest of cores amount to").
 
 from conftest import run_once
 
-from repro.experiments import run_lock_mode_ablation
-from repro.experiments.ablations import lock_ablation_table
+from repro.experiments import ablations
 
 
 def test_lock_mode_ablation(benchmark, emit):
-    results = run_once(benchmark, run_lock_mode_ablation)
-    emit(lock_ablation_table(results).render())
+    result = run_once(benchmark, ablations.lock_modes)
+    emit(result.to_table().render())
 
-    by_mode = {r.lock_mode: r for r in results}
+    by_mode = {r.lock_mode: r for r in result.results}
     trylock = by_mode["trylock"].mpps
     per_class = by_mode["per_class_block"].mpps
     global_block = by_mode["global_block"].mpps

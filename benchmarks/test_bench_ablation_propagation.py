@@ -8,12 +8,12 @@ settle times stay within tens of epochs.
 
 from conftest import run_once
 
-from repro.experiments import run_propagation_delay
+from repro.experiments import ablations
 from repro.stats.report import Table
 
 
 def test_propagation_delay_grows_with_depth(benchmark, emit):
-    results = run_once(benchmark, run_propagation_delay)
+    results = run_once(benchmark, ablations.propagation).results
 
     table = Table(
         "A-DELAY — θ settle time after a step in the top class (Fig. 10)",

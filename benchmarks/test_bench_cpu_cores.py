@@ -10,23 +10,26 @@ Shape assertions:
   at 40 Gbit.
 """
 
+from dataclasses import replace
+
 from conftest import run_once
 
-from repro.experiments import run_cpu_comparison
-from repro.experiments.cpu_cores import cpu_table
+from repro.experiments import cpu_cores
 
 
 def run_both():
-    rows = run_cpu_comparison(packet_size=1518, duration=15.0)
-    rows += run_cpu_comparison(packet_size=64, duration=15.0, scale=2000.0)
-    return rows
+    result = cpu_cores.run(packet_size=1518, duration=15.0)
+    result.rows += cpu_cores.run(
+        replace(cpu_cores.DEFAULT_SETUP, scale=2000.0), packet_size=64, duration=15.0
+    ).rows
+    return result
 
 
 def test_cpu_core_saving(benchmark, emit):
-    rows = run_once(benchmark, run_both)
-    emit(cpu_table(rows).render())
+    result = run_once(benchmark, run_both)
+    emit(result.to_table().render())
 
-    by_key = {(r.scheduler, r.packet_size): r for r in rows}
+    by_key = {(r.scheduler, r.packet_size): r for r in result.rows}
     fv_large = by_key[("FlowValve", 1518)]
     dpdk_large = by_key[("DPDK QoS", 1518)]
     htb_large = by_key[("Linux HTB", 1518)]

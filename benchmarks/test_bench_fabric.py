@@ -21,7 +21,7 @@ import os
 from conftest import run_once
 
 from repro.experiments import fabric
-from repro.stats.perf import HotpathResult, write_json
+from repro.stats.perf import write_json
 
 #: Expected counts for the seeded fabric run (seed 7, 8 hosts, 2 s,
 #: scale 2000) — deterministic on any machine and for any shard count.
@@ -79,15 +79,8 @@ def test_fabric_events_per_packet(benchmark, emit):
     # everything submitted is absorbed analytically.
     assert run.fluid_absorbed > 0.99 * (run.fluid_absorbed + run.fluid_spills)
 
-    safe_wall = run.wall_seconds if run.wall_seconds > 0 else float("inf")
-    result = HotpathResult(
-        label=f"fabric{HOSTS}-shards2-scale{fabric.DEFAULT_SETUP.scale:g}-{DURATION:g}s",
-        wall_seconds=run.wall_seconds,
-        events=run.total_events,
-        packets=run.total_packets,
-        events_per_sec=run.total_events / safe_wall,
-        packets_per_sec=run.total_packets / safe_wall,
-        events_per_packet=epp,
+    result = run.perf(
+        f"fabric{HOSTS}-shards2-scale{fabric.DEFAULT_SETUP.scale:g}-{DURATION:g}s"
     )
     out = os.path.normpath(
         os.path.join(os.path.dirname(__file__), "..", "BENCH_fabric.json")

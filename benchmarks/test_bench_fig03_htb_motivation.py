@@ -12,11 +12,11 @@ Shape assertions (the paper's three observations):
 
 from conftest import run_once
 
-from repro.experiments import run_fig03
+from repro.experiments import fig03
 
 
 def test_fig03_kernel_htb_motivation(benchmark, emit):
-    result = run_once(benchmark, run_fig03)
+    result = run_once(benchmark, fig03.run)
     emit(result.to_table().render() + f"\n[{result.notes}]")
 
     # Observation 1: NC's lone-phase rate is inaccurate — bins wobble

@@ -14,11 +14,11 @@ Shape assertions (the paper's claims for this figure):
 import pytest
 from conftest import run_once
 
-from repro.experiments import run_fig11a
+from repro.experiments import fig11
 
 
 def test_fig11a_flowvalve_motivation(benchmark, emit):
-    result = run_once(benchmark, run_fig11a)
+    result = run_once(benchmark, fig11.run, variant="a")
     emit(result.to_table().render() + f"\n[{result.notes}]")
 
     link = 10e9

@@ -9,11 +9,11 @@ flows and drives line rate").
 import pytest
 from conftest import run_once
 
-from repro.experiments import run_fig11b
+from repro.experiments import fig11
 
 
 def test_fig11b_fair_queueing(benchmark, emit):
-    result = run_once(benchmark, run_fig11b)
+    result = run_once(benchmark, fig11.run, variant="b")
     emit(result.to_table().render() + f"\n[{result.notes}]")
 
     link = 40e9

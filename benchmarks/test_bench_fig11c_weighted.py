@@ -14,11 +14,11 @@ Shape claims from the paper:
 import pytest
 from conftest import run_once
 
-from repro.experiments import run_fig11c
+from repro.experiments import fig11
 
 
 def test_fig11c_weighted_fair_queueing(benchmark, emit):
-    result = run_once(benchmark, run_fig11c)
+    result = run_once(benchmark, fig11.run, variant="c")
     emit(result.to_table().render() + f"\n[{result.notes}]")
 
     link = 40e9

@@ -13,14 +13,14 @@ Shape assertions:
 import pytest
 from conftest import run_once
 
-from repro.experiments import run_fig13
-from repro.experiments.fig13 import fig13_table
+from repro.experiments import fig13
 
 
 def test_fig13_max_throughput(benchmark, emit):
-    rows = run_once(benchmark, run_fig13)
-    emit(fig13_table(rows).render())
+    result = run_once(benchmark, fig13.run)
+    emit(result.to_table().render())
 
+    rows = result.rows
     by_size = {row.size: row for row in rows}
 
     # FlowValve: line-rate-bound for large frames...

@@ -12,15 +12,14 @@ Shape assertions:
 
 from conftest import run_once
 
-from repro.experiments import run_fig14
-from repro.experiments.fig14 import fig14_table
+from repro.experiments import fig14
 
 
 def test_fig14_one_way_delay(benchmark, emit):
-    rows = run_once(benchmark, run_fig14)
-    emit(fig14_table(rows).render())
+    result = run_once(benchmark, fig14.run)
+    emit(result.to_table().render())
 
-    cells = {(row.scheduler, row.line_rate_bps): row.summary for row in rows}
+    cells = {(row.scheduler, row.line_rate_bps): row.summary for row in result.rows}
     fv10 = cells[("FlowValve", 10e9)]
     fv40 = cells[("FlowValve", 40e9)]
     htb10 = cells[("Linux HTB", 10e9)]

@@ -7,16 +7,18 @@ sharing regime (NC pinned at 2 G; WS/KVS/ML hungry TCP flows) must
 land every class within a few percent of its policy target.
 """
 
+from dataclasses import replace
+
 from conftest import run_once
 
-from repro.experiments import run_tcp_realism_shared, tcp_realism_table
+from repro.experiments import tcp_realism
 
 
 def test_tcp_conformance(benchmark, emit):
-    result = run_once(benchmark, run_tcp_realism_shared)
-    emit(tcp_realism_table(
-        result, "TCP realism — motivation policy, closed-loop AIMD senders"
-    ).render())
+    result = run_once(benchmark, tcp_realism.run)
+    emit(replace(
+        result, title="TCP realism — motivation policy, closed-loop AIMD senders"
+    ).to_table().render())
 
     for app in ("NC", "WS", "KVS", "ML"):
         assert abs(result.drift(app)) < 0.10, (

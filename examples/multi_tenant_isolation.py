@@ -19,9 +19,9 @@ runs a compressed 24 s timeline so it finishes in ~15 s.
 Run:  python examples/multi_tenant_isolation.py
 """
 
-from repro.experiments import ScaledSetup, run_flowvalve_timeline
 from repro.experiments.policies import motivation_policy
 from repro.host.traffic import windows
+from repro.topology import ScaledSetup, timeline
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
         "ML": windows((6, 12, 1e12)),
         "WS": windows((6, 24, 1e12)),
     }
-    result = run_flowvalve_timeline(
+    result = timeline(
         motivation_policy(setup.link_bps),
         demands,
         setup,

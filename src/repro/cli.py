@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .core import FlowValve
 from .core.scheduling import Verdict
@@ -194,10 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
              "workload so --baseline gates compare like with like",
     )
     bench.add_argument(
-        "--profile", default=None, metavar="OUT.pstats",
-        help="also profile the run with cProfile and dump stats here",
-    )
-    bench.add_argument(
         "--repeat", type=int, default=1, metavar="N",
         help="run the workload N times (fresh build each time) and "
              "report median/min wall time; events/packet is checked "
@@ -361,17 +357,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 "(one tracer per simulator; workers cannot share a file)"
             )
         return _cmd_simulate_fabric(args, policy, link, demands)
-    if getattr(args, "scheduler", "flowvalve") != "flowvalve":
+    crossbar = args.scheduler != "flowvalve"
+    if crossbar and (args.trace or args.metrics or args.nic):
         # Crossbar schedulers run on the ScheduledPort DES runtime;
         # trace/metrics plumbing currently lives in the FlowValve NIC
         # pipeline only.
-        if args.trace or args.metrics or args.nic:
-            raise ReproError(
-                "--trace/--metrics/--nic require the flowvalve scheduler; "
-                f"--scheduler {args.scheduler} runs the crossbar DES runtime"
-            )
-        return _cmd_simulate_sched(args, policy, link, demands)
-    if args.nic or args.trace or args.metrics:
+        raise ReproError(
+            "--trace/--metrics/--nic require the flowvalve scheduler; "
+            f"--scheduler {args.scheduler} runs the crossbar DES runtime"
+        )
+    if crossbar or args.nic or args.trace or args.metrics:
         # Observability lives in the DES pipeline (queues, workers,
         # traffic manager), so --trace/--metrics imply --nic.
         return _cmd_simulate_nic(args, policy, link, demands)
@@ -405,16 +400,27 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # A zero/negative duration simulates nothing; report zeros instead
     # of dividing by it.
     elapsed = args.duration if args.duration > 0 else float("inf")
-    print(f"simulated {args.duration:.1f}s at link {format_rate(link)}:")
-    for app in sorted(demands):
-        achieved = forwarded[app] * size_bits / elapsed
-        print(
-            f"  {app:>8s}: offered {format_rate(demands[app]):>12s}"
-            f"  achieved {format_rate(achieved):>12s}"
-        )
-    total = sum(forwarded.values()) * size_bits / elapsed
-    print(f"  {'total':>8s}: {format_rate(total):>12s}")
+    _report_rates(
+        f"simulated {args.duration:.1f}s at link {format_rate(link)}:",
+        demands,
+        {app: forwarded[app] * size_bits / elapsed for app in demands},
+        sum(forwarded.values()) * size_bits / elapsed,
+    )
     return 0
+
+
+def _report_rates(header: str, demands: Dict[str, float], achieved: Dict[str, float],
+                  total: float, per_host: bool = False) -> None:
+    """Print the offered-vs-achieved block every ``fv simulate`` mode
+    ends with: *header*, one line per app in name order, the total."""
+    offered_unit, achieved_unit = ("/host", " aggregate") if per_host else ("", "")
+    print(header)
+    for app in sorted(demands):
+        print(
+            f"  {app:>8s}: offered {format_rate(demands[app]):>12s}{offered_unit}"
+            f"  achieved {format_rate(achieved[app]):>12s}{achieved_unit}"
+        )
+    print(f"  {'total':>8s}: {format_rate(total):>12s}")
 
 
 def _simulate_topology(args: argparse.Namespace, policy, demands: Dict[str, float]):
@@ -449,14 +455,17 @@ def _simulate_topology(args: argparse.Namespace, policy, demands: Dict[str, floa
 
 
 def _cmd_simulate_nic(args: argparse.Namespace, policy, link: float, demands: Dict[str, float]) -> int:
-    """``fv simulate --nic``: the full DES pipeline, rate-scaled.
+    """``fv simulate --nic`` / ``--scheduler NAME``: one rate-scaled domain.
 
     A thin adapter over :mod:`repro.topology` — declares a one-host
-    :class:`~repro.topology.Topology`, builds it through the shared
-    domain builder (the same assembly, and event stream, the figure
-    reproductions use), and optionally dumps the raw observability
-    streams (``--trace``: per-event JSONL; ``--metrics``: periodic
-    registry snapshots) that the achieved-rate report is computed from.
+    :class:`~repro.topology.Topology` whose NIC runs the full DES
+    pipeline (the flowvalve scheduler) or the named crossbar scheduler
+    on the :class:`~repro.sched.runtime.ScheduledPort` runtime, builds
+    it through the shared domain builder (the same assembly, and event
+    stream, the figure reproductions and the crossbar use), and
+    optionally dumps the raw observability streams (``--trace``:
+    per-event JSONL; ``--metrics``: periodic registry snapshots) that
+    the achieved-rate report is computed from.
     """
     from .topology import ScaledSetup, SimulationSpec
     from .topology.build import build_domains
@@ -476,23 +485,26 @@ def _cmd_simulate_nic(args: argparse.Namespace, policy, link: float, demands: Di
         metrics_interval=(args.duration / 100.0 if args.duration > 0 else None),
     )
     [built] = build_domains(spec, [0])
-    sim, sink, nic = built.sim, built.sink, built.nic
+    sim, sink, port = built.sim, built.sink, built.port
     sim.run(until=args.duration)
 
     elapsed = args.duration if args.duration > 0 else float("inf")
-    print(
-        f"simulated {args.duration:.1f}s at link {format_rate(link)} "
-        f"(nic mode, scale=1/{setup.scale:g}, seed={setup.seed}):"
+    mode = (
+        "nic mode" if port is None
+        else f"scheduler={args.scheduler}, backend={args.backend}"
     )
-    for app in sorted(demands):
-        achieved = sink.bytes[app] * 8 / elapsed * setup.scale
-        print(
-            f"  {app:>8s}: offered {format_rate(demands[app]):>12s}"
-            f"  achieved {format_rate(achieved):>12s}"
-        )
-    total = sink.total_bytes * 8 / elapsed * setup.scale
-    print(f"  {'total':>8s}: {format_rate(total):>12s}")
-    print(f"  {nic.stats_summary()}")
+    _report_rates(
+        f"simulated {args.duration:.1f}s at link {format_rate(link)} "
+        f"({mode}, scale=1/{setup.scale:g}, seed={setup.seed}):",
+        demands,
+        {app: sink.bytes[app] * 8 / elapsed * setup.scale for app in demands},
+        sink.total_bytes * 8 / elapsed * setup.scale,
+    )
+    if port is None:
+        print(f"  {built.nic.stats_summary()}")
+    else:
+        print(f"  {port.stats_summary()}")
+        print(f"  {port.scheduler.describe()}")
     if built.tracer is not None:
         count = built.tracer.to_jsonl(args.trace)
         print(f"  trace: {count} records -> {args.trace}")
@@ -561,19 +573,14 @@ def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demand
     sim.run(until=args.duration)
 
     elapsed = args.duration if args.duration > 0 else float("inf")
-    print(
+    _report_rates(
         f"simulated {args.duration:.1f}s at link {format_rate(link)} "
         f"(workload={args.workload}, scale=1/{setup.scale:g}, "
-        f"seed={setup.seed}):"
+        f"seed={setup.seed}):",
+        demands,
+        {app: sink.bytes[app] * 8 / elapsed * setup.scale for app in demands},
+        sink.total_bytes * 8 / elapsed * setup.scale,
     )
-    for app in sorted(demands):
-        achieved = sink.bytes[app] * 8 / elapsed * setup.scale
-        print(
-            f"  {app:>8s}: offered {format_rate(demands[app]):>12s}"
-            f"  achieved {format_rate(achieved):>12s}"
-        )
-    total = sink.total_bytes * 8 / elapsed * setup.scale
-    print(f"  {'total':>8s}: {format_rate(total):>12s}")
     print(
         f"  flows: started={sum(w.flows_started for w in workloads)} "
         f"completed={sum(w.flows_completed for w in workloads)} "
@@ -615,20 +622,16 @@ def _cmd_simulate_fabric(args: argparse.Namespace, policy, link: float, demands:
     )
     result = spec.run()
 
-    print(
+    achieved = {app: result.throughput_bps(app) for app in sorted(demands)}
+    _report_rates(
         f"simulated {args.duration:.1f}s at link {format_rate(link)} "
         f"(fabric: {args.hosts} hosts, scale=1/{setup.scale:g}, "
-        f"seed={setup.seed}):"
+        f"seed={setup.seed}):",
+        demands,
+        achieved,
+        sum(achieved.values()),
+        per_host=True,
     )
-    total = 0.0
-    for app in sorted(demands):
-        achieved = result.throughput_bps(app)
-        total += achieved
-        print(
-            f"  {app:>8s}: offered {format_rate(demands[app]):>12s}/host"
-            f"  achieved {format_rate(achieved):>12s} aggregate"
-        )
-    print(f"  {'total':>8s}: {format_rate(total):>12s}")
     print(
         f"  delivered={result.total_packets} "
         f"drops={result.total_dropped}/{result.total_submitted} "
@@ -640,64 +643,6 @@ def _cmd_simulate_fabric(args: argparse.Namespace, policy, link: float, demands:
         f"wall={result.wall_seconds:.2f}s",
         file=sys.stderr,
     )
-    return 0
-
-
-def _cmd_simulate_sched(args: argparse.Namespace, policy, link: float, demands: Dict[str, float]) -> int:
-    """``fv simulate --scheduler NAME``: the crossbar DES runtime.
-
-    Builds the named scheduler from the policy, drives it on a
-    :class:`~repro.sched.runtime.ScheduledPort` against constant-rate
-    senders, and prints achieved rates — the what-if evaluator for any
-    scheduler the registry knows.
-    """
-    from .experiments.base import ScaledSetup, _scale_demand
-    from .experiments.crossbar import WORKER_FREQ_HZ
-    from .host import FixedRateSender
-    from .net import Link, PacketSink
-    from .sched import ScheduledPort, build_scheduler
-    from .sim import Simulator
-
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive, got {args.scale}")
-    setup = ScaledSetup.for_link(link, scale=args.scale, seed=args.seed)
-    sim = Simulator(seed=setup.seed)
-    sink = PacketSink(sim, rate_window=1.0, record_delays=False)
-    wire = Link(sim, setup.scaled_wire_bps, receiver=sink.receive)
-    sched = build_scheduler(
-        args.scheduler, policy, setup.link_bps,
-        backend=args.backend, params=setup.sched_params(),
-    )
-    port = ScheduledPort(sim, sched, wire, freq_hz=WORKER_FREQ_HZ / setup.scale)
-    factory = PacketFactory()
-    for index, app in enumerate(sorted(demands)):
-        FixedRateSender(
-            sim, app, factory, port.submit,
-            rate_bps=setup.sender_rate(),
-            packet_size=args.packet_size,
-            demand=_scale_demand(lambda t, rate=demands[app]: rate, setup.scale),
-            vf_index=index,
-            jitter=0.1,
-            rng=sim.random.stream(app),
-        )
-    sim.run(until=args.duration)
-
-    elapsed = args.duration if args.duration > 0 else float("inf")
-    print(
-        f"simulated {args.duration:.1f}s at link {format_rate(link)} "
-        f"(scheduler={args.scheduler}, backend={args.backend}, "
-        f"scale=1/{setup.scale:g}, seed={setup.seed}):"
-    )
-    for app in sorted(demands):
-        achieved = sink.bytes[app] * 8 / elapsed * setup.scale
-        print(
-            f"  {app:>8s}: offered {format_rate(demands[app]):>12s}"
-            f"  achieved {format_rate(achieved):>12s}"
-        )
-    total = sink.total_bytes * 8 / elapsed * setup.scale
-    print(f"  {'total':>8s}: {format_rate(total):>12s}")
-    print(f"  {port.stats_summary()}")
-    print(f"  {sched.describe()}")
     return 0
 
 
@@ -761,69 +706,33 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ReproError(f"--repeat must be at least 1, got {repeat}")
     if shards < 1:
         raise ReproError(f"--shards must be at least 1, got {shards}")
-    if fabric_mode and args.profile:
-        raise ReproError(
-            "--profile is single-shard only (profiling the coordinator "
-            "process would miss the workers doing the actual simulation)"
-        )
     workers = min(shards, hosts) if fabric_mode else 1
-
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
 
     # Each repeat rebuilds the world from the seed: wall time varies
     # with the machine, but events/packets must not — a fixed seed is
     # the whole point of the events/packet gate.
     results = []
     if fabric_mode:
-        from .stats.perf import HotpathResult
-
         label = f"fabric{hosts}-shards{shards}-scale{scale:g}-{duration:g}s"
         fabric_setup = dc_replace(fabric.DEFAULT_SETUP, scale=scale, seed=seed)
         for _ in range(repeat):
             fr = fabric.run(
                 fabric_setup, hosts=hosts, shards=shards, duration=duration,
             )
-            safe_wall = fr.wall_seconds if fr.wall_seconds > 0 else float("inf")
-            results.append(
-                HotpathResult(
-                    label=label,
-                    wall_seconds=fr.wall_seconds,
-                    events=fr.total_events,
-                    packets=fr.total_packets,
-                    events_per_sec=fr.total_events / safe_wall,
-                    packets_per_sec=fr.total_packets / safe_wall,
-                    events_per_packet=(
-                        fr.total_events / fr.total_packets
-                        if fr.total_packets else 0.0
-                    ),
-                )
-            )
+            results.append(fr.perf(label))
     elif trace_mode:
         mf_setup = dc_replace(megaflow.DEFAULT_SETUP, scale=scale, seed=seed)
         for _ in range(repeat):
-            if profiler is not None:
-                mr = profiler.runcall(
-                    megaflow.run, mf_setup, duration=duration
-                )
-            else:
-                mr = megaflow.run(mf_setup, duration=duration)
+            mr = megaflow.run(mf_setup, duration=duration)
             results.append(mr.perf)
     else:
         setup = dc_replace(hotpath.DEFAULT_SETUP, scale=scale, seed=seed)
         label = f"fig11a-scale{setup.scale:g}-{duration:g}s"
         for _ in range(repeat):
             sim, nic = hotpath.build(setup)
-            run = lambda: sim.run(until=duration)  # noqa: E731 - tiny closure
-            if profiler is not None:
-                inner = run
-                run = lambda: profiler.runcall(inner)  # noqa: E731
-            results.append(measure_run(sim, run, lambda: nic.submitted, label=label))
-    if profiler is not None:
-        profiler.dump_stats(args.profile)
+            results.append(measure_run(
+                sim, lambda: sim.run(until=duration), lambda: nic.submitted, label=label,
+            ))
 
     first = results[0]
     for r in results[1:]:
@@ -891,28 +800,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "wall_seconds_all": [r.wall_seconds for r in results],
     }
     if fabric_mode:
-        # Lane and per-domain/per-shard breakdowns (deterministic, same
-        # in every repeat) so the regression gate can localize which
-        # domain's lane disengaged, not just see the total ratio move.
-        domain_events = fr.domain_events
-        names = list(domain_events)
-        base, leftover = divmod(len(names), max(workers, 1))
-        shard_events: List[int] = []
-        cursor = 0
-        for shard_index in range(max(workers, 1)):
-            count = base + (1 if shard_index < leftover else 0)
-            shard_events.append(
-                sum(domain_events[name] for name in names[cursor:cursor + count])
-            )
-            cursor += count
+        # Lane and per-domain breakdowns (deterministic, same in every
+        # repeat) so the regression gate can localize which domain's
+        # lane disengaged, not just see the total ratio move.
         extra.update({
             "hosts": hosts,
             "fluid_absorbed": fr.fluid_absorbed,
             "fluid_spills": fr.fluid_spills,
             "fluid_suspends": fr.fluid_suspends,
-            "domain_events": domain_events,
-            # Contiguous-block partition, mirroring ShardPlan.build.
-            "shard_events": shard_events,
+            "domain_events": fr.domain_events,
         })
     elif trace_mode:
         # Flow/cache/sketch tallies — deterministic, same in every
@@ -948,8 +844,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     })
     write_json(out, result, extra=extra)
     print(f"artifact: {out}")
-    if args.profile:
-        print(f"profile: {args.profile}")
 
     if args.baseline is not None:
         with open(args.baseline) as fh:

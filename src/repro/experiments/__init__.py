@@ -8,21 +8,14 @@ EXPERIMENTS.md for paper-vs-measured numbers.
 
 Every figure module exposes the unified entry-point shape
 ``run(setup: ScaledSetup, **spec_params) -> Result`` where the result
-exposes ``to_table()`` (DESIGN.md §9); the historical ``run_*`` names
-remain as thin deprecation shims returning their original shapes. The
-figure modules load on first use of one of their names. The
-:mod:`.campaign` subpackage (imported explicitly) registers every
-entry point as an :class:`ExperimentSpec` and runs parameter grids in
-parallel.
+exposes ``to_table()`` (DESIGN.md §9). The figure modules load on
+first use of one of their names. The :mod:`.campaign` subpackage
+(imported explicitly) registers every entry point as an
+:class:`ExperimentSpec` and runs parameter grids in parallel.
 """
 
 from .._lazy import lazy_exports
-from .base import (
-    ScaledSetup,
-    TimelineResult,
-    run_flowvalve_timeline,
-    run_kernel_htb_timeline,
-)
+from .base import ScaledSetup, TimelineResult, run_kernel_htb_timeline
 from .policies import (
     fair_policy,
     motivation_policy,
@@ -33,7 +26,6 @@ from .policies import (
 __all__ = [
     "ScaledSetup",
     "TimelineResult",
-    "run_flowvalve_timeline",
     "run_kernel_htb_timeline",
     "fair_policy",
     "motivation_policy",
@@ -43,31 +35,17 @@ __all__ = [
     "motivation_demands",
     "weighted_demands",
     "FabricResult",
-    "run_fabric_sweep",
     "MegaflowResult",
-    "run_megaflow",
-    "run_fig03",
-    "run_fig11a",
-    "run_fig11b",
-    "run_fig11c",
     "Fig13Result",
     "Fig13Row",
-    "run_fig13",
     "Fig14Result",
     "Fig14Row",
-    "run_fig14",
     "CpuResult",
     "CpuRow",
-    "run_cpu_comparison",
     "IntervalSensitivityResult",
     "LockAblationResult",
     "PropagationDelayResult",
-    "run_lock_mode_ablation",
-    "run_propagation_delay",
-    "run_update_interval_sensitivity",
     "TcpRealismResult",
-    "run_tcp_realism_shared",
-    "tcp_realism_table",
 ]
 
 # Each figure module loads on first use, so importing one experiment
@@ -78,24 +56,15 @@ __getattr__, __dir__ = lazy_exports(__name__, globals(), {
         "motivation_demands",
         "weighted_demands",
     ),
-    ".fabric": ("FabricResult", "run_fabric_sweep"),
-    ".megaflow": ("MegaflowResult", "run_megaflow"),
-    ".fig03": ("run_fig03",),
-    ".fig11": ("run_fig11a", "run_fig11b", "run_fig11c"),
-    ".fig13": ("Fig13Result", "Fig13Row", "run_fig13"),
-    ".fig14": ("Fig14Result", "Fig14Row", "run_fig14"),
-    ".cpu_cores": ("CpuResult", "CpuRow", "run_cpu_comparison"),
+    ".fabric": ("FabricResult",),
+    ".megaflow": ("MegaflowResult",),
+    ".fig13": ("Fig13Result", "Fig13Row"),
+    ".fig14": ("Fig14Result", "Fig14Row"),
+    ".cpu_cores": ("CpuResult", "CpuRow"),
     ".ablations": (
         "IntervalSensitivityResult",
         "LockAblationResult",
         "PropagationDelayResult",
-        "run_lock_mode_ablation",
-        "run_propagation_delay",
-        "run_update_interval_sensitivity",
     ),
-    ".tcp_realism": (
-        "TcpRealismResult",
-        "run_tcp_realism_shared",
-        "tcp_realism_table",
-    ),
+    ".tcp_realism": ("TcpRealismResult",),
 })

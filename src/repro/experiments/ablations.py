@@ -26,22 +26,18 @@ from ..host import FixedRateSender
 from ..sim import Simulator
 from ..stats.report import Table
 from ..tc.parser import parse_script
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .policies import fair_policy
 
 __all__ = [
     "LockModeResult",
     "LockAblationResult",
     "lock_modes",
-    "run_lock_mode_ablation",
-    "lock_ablation_table",
     "PropagationResult",
     "PropagationDelayResult",
     "propagation",
-    "run_propagation_delay",
     "IntervalSensitivityResult",
     "interval_sensitivity",
-    "run_update_interval_sensitivity",
 ]
 
 
@@ -64,7 +60,13 @@ class LockAblationResult:
     results: List[LockModeResult]
 
     def to_table(self) -> Table:
-        return lock_ablation_table(self.results)
+        table = Table(
+            "A-LOCK — 64 B forwarding capacity per update-locking discipline (Fig. 7)",
+            ["lock mode", "Mpps", "lock wait (s)"],
+        )
+        for r in self.results:
+            table.add_row(r.lock_mode, r.mpps, f"{r.lock_wait_seconds:.4f}")
+        return table
 
 
 def lock_modes(
@@ -108,28 +110,6 @@ def lock_modes(
         mpps = (sink.total_packets - counts["at_warmup"]) / window / 1e6
         results.append(LockModeResult(mode, round(mpps, 2), round(nic.app.lock_contention, 6)))
     return LockAblationResult(results=results)
-
-
-def run_lock_mode_ablation(
-    modes: Optional[List[str]] = None,
-    window: float = 0.002,
-    packet_size: int = 64,
-    seed: int = 23,
-) -> List[LockModeResult]:
-    """Deprecated alias for :func:`lock_modes`; returns the bare list."""
-    warn_deprecated("run_lock_mode_ablation", "repro.experiments.ablations.lock_modes")
-    setup = ScaledSetup(nominal_link_bps=40e9, scale=1.0, wire_bps=40e9, seed=seed)
-    return lock_modes(setup, modes=modes, window=window, packet_size=packet_size).results
-
-
-def lock_ablation_table(results: List[LockModeResult]) -> Table:
-    table = Table(
-        "A-LOCK — 64 B forwarding capacity per update-locking discipline (Fig. 7)",
-        ["lock mode", "Mpps", "lock wait (s)"],
-    )
-    for r in results:
-        table.add_row(r.lock_mode, r.mpps, f"{r.lock_wait_seconds:.4f}")
-    return table
 
 
 # ----------------------------------------------------------------------
@@ -265,15 +245,6 @@ def propagation(
     return PropagationDelayResult(results=results, update_interval=update_interval)
 
 
-def run_propagation_delay(
-    update_interval: float = 0.01,
-    levels: int = 3,
-) -> List[PropagationResult]:
-    """Deprecated alias for :func:`propagation`; returns the bare list."""
-    warn_deprecated("run_propagation_delay", "repro.experiments.ablations.propagation")
-    return propagation(update_interval=update_interval, levels=levels).results
-
-
 # ----------------------------------------------------------------------
 # A-INTERVAL
 # ----------------------------------------------------------------------
@@ -355,19 +326,3 @@ def interval_sensitivity(
             row[mode] = round(max(0.0, worst - target_bps) / target_bps, 4)
         results[interval] = row
     return IntervalSensitivityResult(overshoot=results)
-
-
-def run_update_interval_sensitivity(
-    intervals: Optional[List[float]] = None,
-    target_bps: float = 4e6,
-    duration: float = 30.0,
-) -> Dict[float, Dict[str, float]]:
-    """Deprecated alias for :func:`interval_sensitivity`; returns the
-    bare ΔT → overshoot mapping."""
-    warn_deprecated(
-        "run_update_interval_sensitivity",
-        "repro.experiments.ablations.interval_sensitivity",
-    )
-    return interval_sensitivity(
-        intervals=intervals, target_bps=target_bps, duration=duration
-    ).overshoot

@@ -18,44 +18,24 @@ dedicated TCP-realism experiment and the test suite.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..baselines import HtbQdisc, KernelQdiscRuntime
-from ..core.sched_tree import SchedulingParams
 from ..net import Link, PacketFactory, PacketSink
 from ..host import FixedRateSender, propagate_next_change
 from ..sim import Simulator
 from ..stats.report import Table
-from ..tc.ast import PolicyConfig
 from ..topology.setup import ScaledSetup
 
 __all__ = [
     "ScaledSetup",
     "TimelineResult",
-    "run_flowvalve_timeline",
     "run_kernel_htb_timeline",
-    "warn_deprecated",
 ]
 
 #: Demand schedule type (re-exported for signatures).
 Demand = Callable[[float], float]
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """Emit the standard warning for a legacy ``run_*`` shim.
-
-    Every figure module keeps its historical entry point as a thin
-    wrapper over the unified ``run(setup, **params) -> Result`` API
-    (DESIGN.md §9); the wrapper calls this once per invocation.
-    """
-    warnings.warn(
-        f"{old}() is deprecated; use {new} — the unified "
-        "run(setup, **params) -> Result experiment API",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 # :class:`ScaledSetup` moved to :mod:`repro.topology.setup` when the
@@ -102,76 +82,6 @@ class TimelineResult:
             row.append(f"{total / 1e9:.2f}G")
             table.rows.append(row)
         return table
-
-
-def _collect_timeline(
-    sink: PacketSink,
-    apps: List[str],
-    duration: float,
-    bin_seconds: float,
-    scale: float,
-    title: str,
-    notes: str = "",
-) -> TimelineResult:
-    result = TimelineResult(title=title, bin_seconds=bin_seconds, notes=notes)
-    for app in apps:
-        series = sink.rates.get(app)
-        points: List[Tuple[float, float]] = []
-        t = bin_seconds
-        while t <= duration + 1e-9:
-            rate = series.mean_rate(t - bin_seconds, t) if series else 0.0
-            points.append((t, rate * scale))
-            t += bin_seconds
-        result.series[app] = points
-    return result
-
-
-def run_flowvalve_timeline(
-    policy: PolicyConfig,
-    demands: Dict[str, Demand],
-    setup: ScaledSetup,
-    duration: float = 60.0,
-    bin_seconds: float = 5.0,
-    title: str = "FlowValve timeline",
-    packet_size: int = 1500,
-    params: Optional[SchedulingParams] = None,
-    trace_path: Optional[str] = None,
-    metrics_path: Optional[str] = None,
-    trace_limit: int = 0,
-) -> TimelineResult:
-    """Run FlowValve on the simulated NIC against backlogged senders.
-
-    ``demands`` give each app's *offered* load in nominal bit/s over
-    time (0 = idle); senders blast at the scaled equivalent and the
-    scheduler enforces the policy.
-
-    ``trace_path``/``metrics_path`` dump the raw observability streams
-    the figure was computed from: the full structured event trace
-    (drops, verdicts, rate updates, queue depths) and one metrics
-    snapshot per reporting bin, both as JSONL. When omitted (the
-    default) the run uses the no-op sinks and pays zero overhead.
-
-    .. deprecated::
-        Thin shim over :func:`repro.topology.timeline` (the
-        ``Topology``/``SimulationSpec`` construction API) — same
-        world, same event stream, same result shape.
-    """
-    from ..topology import timeline
-
-    warn_deprecated("run_flowvalve_timeline", "repro.topology.timeline")
-    return timeline(
-        policy,
-        demands,
-        setup,
-        duration=duration,
-        bin_seconds=bin_seconds,
-        title=title,
-        packet_size=packet_size,
-        params=params,
-        trace_path=trace_path,
-        metrics_path=metrics_path,
-        trace_limit=trace_limit,
-    )
 
 
 def run_kernel_htb_timeline(
@@ -224,10 +134,20 @@ def run_kernel_htb_timeline(
                 jitter=0.1, rng=sim.random.stream(app),
             )
     sim.run(until=duration)
-    return _collect_timeline(
-        sink, sorted(demands), duration, bin_seconds, setup.scale, title,
+    result = TimelineResult(
+        title=title, bin_seconds=bin_seconds,
         notes=f"scale=1/{setup.scale:.0f}, lock_util={runtime.lock_utilization:.2f}",
     )
+    for app in sorted(demands):
+        series = sink.rates.get(app)
+        points: List[Tuple[float, float]] = []
+        t = bin_seconds
+        while t <= duration + 1e-9:
+            rate = series.mean_rate(t - bin_seconds, t) if series else 0.0
+            points.append((t, rate * setup.scale))
+            t += bin_seconds
+        result.series[app] = points
+    return result
 
 
 def _scale_demand(demand: Demand, scale: float) -> Demand:

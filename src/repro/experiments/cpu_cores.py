@@ -28,11 +28,14 @@ from ..host import FixedRateSender, HostCpu
 from ..sim import Simulator
 from ..stats.report import Table
 from ..units import line_rate_pps
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .fig13 import DPDK_CORES_BY_SIZE, _fair_htb_tree
 from .policies import fair_policy
 
-__all__ = ["CpuRow", "CpuResult", "run", "run_cpu_comparison", "cpu_table"]
+__all__ = ["CpuRow", "CpuResult", "run", "DEFAULT_SETUP"]
+
+#: The published comparison point: 40 Gbit at ~120% offered load.
+DEFAULT_SETUP = ScaledSetup(nominal_link_bps=40e9, scale=400.0, wire_bps=40e9, seed=17)
 
 
 @dataclass
@@ -65,7 +68,17 @@ class CpuResult:
     rows: List[CpuRow]
 
     def to_table(self) -> Table:
-        return cpu_table(self.rows)
+        """Render the CPU comparison."""
+        table = Table(
+            "§V-B — CPU cores consumed by scheduling at matched load",
+            ["scheduler", "rate", "size(B)", "throughput(Mpps)", "sched cores", "total host cores"],
+        )
+        for row in self.rows:
+            table.add_row(
+                row.scheduler, f"{row.line_rate_bps / 1e9:.0f}G", row.packet_size,
+                row.throughput_mpps, row.sched_cores, row.total_cores,
+            )
+        return table
 
 
 def run(
@@ -76,8 +89,7 @@ def run(
 ) -> CpuResult:
     """Measure scheduling-cost core-equivalents for all three systems
     at ~120% offered load of ``setup.nominal_link_bps``."""
-    setup = setup if setup is not None else ScaledSetup(
-        nominal_link_bps=40e9, scale=400.0, wire_bps=40e9, seed=17)
+    setup = setup if setup is not None else DEFAULT_SETUP
     line_rate_bps = setup.nominal_link_bps
     scale = setup.scale
     seed = setup.seed
@@ -150,31 +162,3 @@ def run(
         total_cores=round(cpu.report.core_equivalents(duration, ""), 2),
     ))
     return CpuResult(rows=rows)
-
-
-def run_cpu_comparison(
-    line_rate_bps: float = 40e9,
-    packet_size: int = 1518,
-    duration: float = 20.0,
-    scale: float = 400.0,
-    seed: int = 17,
-) -> List[CpuRow]:
-    """Deprecated alias for :func:`run`; returns the bare row list."""
-    warn_deprecated("run_cpu_comparison", "repro.experiments.cpu_cores.run")
-    setup = ScaledSetup(nominal_link_bps=line_rate_bps, scale=scale,
-                        wire_bps=line_rate_bps, seed=seed)
-    return run(setup, packet_size=packet_size, duration=duration).rows
-
-
-def cpu_table(rows: List[CpuRow]) -> Table:
-    """Render the CPU comparison."""
-    table = Table(
-        "§V-B — CPU cores consumed by scheduling at matched load",
-        ["scheduler", "rate", "size(B)", "throughput(Mpps)", "sched cores", "total host cores"],
-    )
-    for row in rows:
-        table.add_row(
-            row.scheduler, f"{row.line_rate_bps / 1e9:.0f}G", row.packet_size,
-            row.throughput_mpps, row.sched_cores, row.total_cores,
-        )
-    return table

@@ -5,11 +5,13 @@ named crossbar scheduler (:mod:`repro.sched.registry`) against a named
 workload (policy + demand timeline) on the shared NIC model and
 returns the usual :class:`~repro.experiments.base.TimelineResult`.
 
-The default FlowValve scheduler routes through the *unchanged*
-calibrated NIC pipeline (:func:`repro.topology.timeline`) — selecting
-it reproduces the Fig. 11 numbers byte-identically. Every other scheduler runs on the
-:class:`~repro.sched.runtime.ScheduledPort` worker-model runtime,
-which charges the scheduler's step costs and paces the same wire.
+Every cell is one single-NIC :class:`~repro.topology.Topology` whose
+NIC declares the scheduler, built by the shared domain builder. The
+default FlowValve scheduler runs the unchanged calibrated NIC pipeline
+— selecting it reproduces the Fig. 11 numbers byte-identically. Every
+other scheduler runs on the :class:`~repro.sched.runtime.ScheduledPort`
+worker-model runtime, which charges the scheduler's step costs and
+paces the same wire.
 """
 
 from __future__ import annotations
@@ -17,13 +19,8 @@ from __future__ import annotations
 from typing import Optional
 
 from ..errors import CampaignError
-from ..net import Link, PacketFactory, PacketSink
-from ..nic.config import NicConfig
-from ..host import FixedRateSender
-from ..sim import Simulator
-from ..sched import ScheduledPort, build_scheduler
-from ..topology import timeline
-from .base import ScaledSetup, TimelineResult, _collect_timeline, _scale_demand
+from ..topology import SimulationSpec, Topology, build
+from .base import ScaledSetup, TimelineResult
 from .policies import fair_policy, motivation_policy
 from .workloads import fair_queueing_demands, motivation_demands
 
@@ -42,10 +39,6 @@ WORKLOADS = {
         lambda seed: ScaledSetup.for_link(40e9, seed=seed),
     ),
 }
-
-#: The NFP worker clock the crossbar charges step costs at (nominal) —
-#: the same micro-engine clock the calibrated pipeline runs on.
-WORKER_FREQ_HZ = NicConfig().freq_hz
 
 
 def run(
@@ -78,46 +71,29 @@ def run(
         setup = default_setup(7)
     # Same convention as fig11: the policy is built at the *scaled*
     # link rate (its class rates live in sim units), demands at the
-    # nominal rate (scaled per-sender below / by run_flowvalve_timeline).
-    policy = policy_of(setup.link_bps)
-    demands = demands_of(setup.nominal_link_bps)
-    title = f"crossbar — {scheduler} on {workload}"
-    if scheduler == "flowvalve":
-        # The reference path: identical assembly (and event stream) to
-        # the Fig. 11 reproductions — the crossbar must not perturb it.
-        return timeline(
-            policy, demands, setup,
-            duration=duration, bin_seconds=bin_seconds, title=title,
-        )
-
-    sim = Simulator(seed=setup.seed)
-    sink = PacketSink(sim, rate_window=1.0, record_delays=False)
-    link = Link(sim, setup.scaled_wire_bps, receiver=sink.receive)
-    sched = build_scheduler(
-        scheduler, policy, setup.link_bps,
-        backend=backend, queue_limit=queue_limit,
-        params=setup.sched_params(),
+    # nominal rate (the builder scales them per sender).
+    topo = Topology().nic(
+        "nic0", policy_of(setup.link_bps),
+        scheduler=scheduler, backend=backend, queue_limit=queue_limit,
     )
-    port = ScheduledPort(
-        sim, sched, link, freq_hz=WORKER_FREQ_HZ / setup.scale,
+    topo.host("host0", nic="nic0")
+    for app, demand in sorted(demands_of(setup.nominal_link_bps).items()):
+        topo.app("host0", app, demand=demand)
+    spec = SimulationSpec(
+        topology=topo, setup=setup, duration=duration,
+        bin_seconds=bin_seconds, title=f"crossbar — {scheduler} on {workload}",
     )
-    factory = PacketFactory()
-    for index, (app, demand) in enumerate(sorted(demands.items())):
-        FixedRateSender(
-            sim, app, factory, port.submit,
-            rate_bps=setup.sender_rate(),
-            packet_size=1500,
-            demand=_scale_demand(demand, setup.scale),
-            vf_index=index,
-            jitter=0.1,
-            rng=sim.random.stream(app),
-        )
-    sim.run(until=duration)
-    notes = (
-        f"scale=1/{setup.scale:.0f}, scheduler={sched.name}, "
-        f"drops={port.dropped}/{port.submitted}"
-    )
-    return _collect_timeline(
-        sink, sorted(demands), duration, bin_seconds, setup.scale, title,
-        notes=notes,
+    # Built here rather than through spec.run(): the notes name the
+    # port's scheduler, which only the live domain holds. One domain
+    # runs exactly as the inline engine would run it. The FlowValve NIC
+    # keeps the reference notes of the Fig. 11 runs.
+    [built] = build.build_domains(spec, [0])
+    built.sim.run(until=duration)
+    summary = build.summarize_domain(built, spec)
+    port = "" if built.port is None else f"scheduler={built.port.scheduler.name}, "
+    return TimelineResult(
+        title=spec.title,
+        series=summary.series,
+        bin_seconds=bin_seconds,
+        notes=f"scale=1/{setup.scale:.0f}, {port}drops={summary.dropped}/{summary.submitted}",
     )

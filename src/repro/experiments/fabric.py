@@ -30,7 +30,6 @@ __all__ = [
     "FabricResult",
     "build_fabric",
     "run",
-    "run_fabric_sweep",
     "DEFAULT_PROP",
     "DEFAULT_SETUP",
 ]
@@ -93,6 +92,23 @@ class FabricResult:
         if self.total_packets <= 0:
             return 0.0
         return self.total_events / self.total_packets
+
+    def perf(self, label: str):
+        """This run as the :class:`~repro.stats.perf.HotpathResult`
+        that ``BENCH_fabric.json`` and ``fv bench --shards N`` record
+        under *label*."""
+        from ..stats.perf import HotpathResult
+
+        safe_wall = self.wall_seconds if self.wall_seconds > 0 else float("inf")
+        return HotpathResult(
+            label=label,
+            wall_seconds=self.wall_seconds,
+            events=self.total_events,
+            packets=self.total_packets,
+            events_per_sec=self.total_events / safe_wall,
+            packets_per_sec=self.total_packets / safe_wall,
+            events_per_packet=self.events_per_packet,
+        )
 
     def to_table(self) -> Table:
         table = Table(
@@ -201,7 +217,3 @@ def run(
         fluid_suspends=result.total_fluid_suspends,
         domain_events={name: d.events for name, d in result.domains.items()},
     )
-
-
-#: Package-level alias matching the ``run_*`` naming of sibling modules.
-run_fabric_sweep = run

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .base import ScaledSetup, TimelineResult, run_kernel_htb_timeline, warn_deprecated
+from .base import ScaledSetup, TimelineResult, run_kernel_htb_timeline
 from .policies import motivation_htb_tree
 from .workloads import motivation_demands
 
-__all__ = ["run", "run_fig03"]
+__all__ = ["run"]
 
 #: The published testbed: a 10 Gbit policy ceiling on a 40 Gbit wire —
 #: the gap is where the HTB overshoot artifact lives.
@@ -33,20 +33,10 @@ def run(setup: Optional[ScaledSetup] = None, *, duration: float = 60.0) -> Timel
     setup = setup if setup is not None else DEFAULT_SETUP
     qdisc = motivation_htb_tree(setup.link_bps, setup.scaled_wire_bps)
     demands = motivation_demands(setup.nominal_link_bps)
-    result = run_kernel_htb_timeline(
+    return run_kernel_htb_timeline(
         qdisc,
         demands,
         setup,
         duration=duration,
         title="Fig. 3 — kernel HTB, motivation policy (10 Gbit ceiling, 40 Gbit wire)",
     )
-    return result
-
-
-def run_fig03(
-    setup: ScaledSetup = DEFAULT_SETUP,
-    duration: float = 60.0,
-) -> TimelineResult:
-    """Deprecated alias for :func:`run`."""
-    warn_deprecated("run_fig03", "repro.experiments.fig03.run")
-    return run(setup, duration=duration)

@@ -10,11 +10,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..topology import timeline
-from .base import ScaledSetup, TimelineResult, warn_deprecated
+from .base import ScaledSetup, TimelineResult
 from .policies import fair_policy, motivation_policy, weighted_policy
 from .workloads import fair_queueing_demands, motivation_demands, weighted_demands
 
-__all__ = ["run", "run_fig11a", "run_fig11b", "run_fig11c"]
+__all__ = ["run"]
 
 #: Published testbed per sub-figure (the 40 Gbit panels need a deeper
 #: rate scale to stay within a per-packet Python DES).
@@ -53,30 +53,3 @@ def run(
         demands = weighted_demands(duration=duration)
         title = "Fig. 11(c) — FlowValve weighted fair queueing at 40 Gbit"
     return timeline(policy, demands, setup, duration=duration, title=title)
-
-
-def run_fig11a(
-    setup: ScaledSetup = DEFAULT_SETUPS["a"],
-    duration: float = 60.0,
-) -> TimelineResult:
-    """Deprecated alias for :func:`run` with ``variant="a"``."""
-    warn_deprecated("run_fig11a", "repro.experiments.fig11.run(variant='a')")
-    return run(setup, variant="a", duration=duration)
-
-
-def run_fig11b(
-    setup: ScaledSetup = DEFAULT_SETUPS["b"],
-    duration: float = 60.0,
-) -> TimelineResult:
-    """Deprecated alias for :func:`run` with ``variant="b"``."""
-    warn_deprecated("run_fig11b", "repro.experiments.fig11.run(variant='b')")
-    return run(setup, variant="b", duration=duration)
-
-
-def run_fig11c(
-    setup: ScaledSetup = DEFAULT_SETUPS["c"],
-    duration: float = 60.0,
-) -> TimelineResult:
-    """Deprecated alias for :func:`run` with ``variant="c"``."""
-    warn_deprecated("run_fig11c", "repro.experiments.fig11.run(variant='c')")
-    return run(setup, variant="c", duration=duration)

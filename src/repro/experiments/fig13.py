@@ -28,10 +28,10 @@ from ..stats.report import Table
 from ..tc.ast import FilterSpec
 from ..tc.classifier import Classifier
 from ..units import line_rate_pps
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .policies import fair_policy
 
-__all__ = ["Fig13Row", "Fig13Result", "run", "run_fig13", "PAPER_FIG13"]
+__all__ = ["Fig13Row", "Fig13Result", "run", "PAPER_FIG13"]
 
 #: Published numbers (Mpps) for the sizes quoted in the paper's text;
 #: ``None`` marks sizes shown only graphically.
@@ -128,7 +128,22 @@ class Fig13Result:
     rows: List[Fig13Row]
 
     def to_table(self) -> Table:
-        return fig13_table(self.rows)
+        """Render the rows next to the published values."""
+        table = Table(
+            "Fig. 13 — maximum throughput (Mpps), fair queueing at 40 Gbit",
+            ["size(B)", "line-rate", "FlowValve", "paper", "DPDK QoS", "paper", "DPDK cores"],
+        )
+        for row in self.rows:
+            table.add_row(
+                row.size,
+                row.line_rate_mpps,
+                row.flowvalve_mpps,
+                row.paper_flowvalve if row.paper_flowvalve is not None else "-",
+                row.dpdk_mpps,
+                row.paper_dpdk if row.paper_dpdk is not None else "-",
+                row.dpdk_cores,
+            )
+        return table
 
 
 def run(
@@ -163,36 +178,3 @@ def run(
             )
         )
     return Fig13Result(rows=rows)
-
-
-def run_fig13(
-    sizes: Optional[List[int]] = None,
-    window: float = 0.002,
-    seed: int = 11,
-) -> List[Fig13Row]:
-    """Deprecated alias for :func:`run`; returns the bare row list."""
-    warn_deprecated("run_fig13", "repro.experiments.fig13.run")
-    setup = ScaledSetup(nominal_link_bps=40e9, scale=1.0, wire_bps=40e9, seed=seed)
-    return run(setup, sizes=sizes, window=window).rows
-
-
-def fig13_table(rows: List[Fig13Row]) -> Table:
-    """Render the rows next to the published values."""
-    table = Table(
-        "Fig. 13 — maximum throughput (Mpps), fair queueing at 40 Gbit",
-        ["size(B)", "line-rate", "FlowValve", "paper", "DPDK QoS", "paper", "DPDK cores"],
-    )
-    for row in rows:
-        table.add_row(
-            row.size,
-            row.line_rate_mpps,
-            row.flowvalve_mpps,
-            row.paper_flowvalve if row.paper_flowvalve is not None else "-",
-            row.dpdk_mpps,
-            row.paper_dpdk if row.paper_dpdk is not None else "-",
-            row.dpdk_cores,
-        )
-    return table
-
-
-__all__.append("fig13_table")

@@ -33,7 +33,7 @@ from ..host import FixedRateSender, TcpApp, TcpParams, TcpRegistry
 from ..sim import Simulator
 from ..stats.latency import LatencySummary, summarize_latencies
 from ..stats.report import Table
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .fig13 import _fair_htb_tree
 from .policies import fair_policy
 
@@ -41,8 +41,6 @@ __all__ = [
     "Fig14Row",
     "Fig14Result",
     "run",
-    "run_fig14",
-    "fig14_table",
     "PAPER_FIG14",
     "NIC_PIPELINE_LATENCY",
 ]
@@ -158,7 +156,22 @@ class Fig14Result:
     rows: List[Fig14Row]
 
     def to_table(self) -> Table:
-        return fig14_table(self.rows)
+        """Render mean/p99/jitter next to the published means."""
+        table = Table(
+            "Fig. 14 — one-way delay under fair queueing",
+            ["scheduler", "rate", "mean(us)", "p99(us)", "jitter(us)", "paper mean(us)"],
+        )
+        for row in self.rows:
+            s = row.summary
+            table.add_row(
+                row.scheduler,
+                f"{row.line_rate_bps / 1e9:.0f}G",
+                f"{s.mean * 1e6:.1f}",
+                f"{s.p99 * 1e6:.1f}",
+                f"{s.jitter * 1e6:.1f}",
+                f"{row.paper_mean_us:.1f}" if row.paper_mean_us is not None else "-",
+            )
+        return table
 
 
 def run(
@@ -195,33 +208,3 @@ def run(
             PAPER_FIG14["dpdk"].get(rate),
         ))
     return Fig14Result(rows=rows)
-
-
-def run_fig14(
-    duration: float = 30.0,
-    scale: float = 100.0,
-    seed: int = 13,
-) -> List[Fig14Row]:
-    """Deprecated alias for :func:`run`; returns the bare row list."""
-    warn_deprecated("run_fig14", "repro.experiments.fig14.run")
-    base = ScaledSetup(nominal_link_bps=10e9, scale=scale, wire_bps=10e9, seed=seed)
-    return run(base, duration=duration).rows
-
-
-def fig14_table(rows: List[Fig14Row]) -> Table:
-    """Render mean/p99/jitter next to the published means."""
-    table = Table(
-        "Fig. 14 — one-way delay under fair queueing",
-        ["scheduler", "rate", "mean(us)", "p99(us)", "jitter(us)", "paper mean(us)"],
-    )
-    for row in rows:
-        s = row.summary
-        table.add_row(
-            row.scheduler,
-            f"{row.line_rate_bps / 1e9:.0f}G",
-            f"{s.mean * 1e6:.1f}",
-            f"{s.p99 * 1e6:.1f}",
-            f"{s.jitter * 1e6:.1f}",
-            f"{row.paper_mean_us:.1f}" if row.paper_mean_us is not None else "-",
-        )
-    return table

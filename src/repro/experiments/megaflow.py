@@ -45,7 +45,6 @@ __all__ = [
     "MegaflowResult",
     "build",
     "run",
-    "run_megaflow",
 ]
 
 #: The reference configuration every recorded megaflow number uses —
@@ -257,7 +256,3 @@ def run(
         sketch_bins=sketch_bins,
         peak_rss_kib=int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss),
     )
-
-
-#: Unified-API alias matching the package's ``run_*`` naming.
-run_megaflow = run

@@ -19,7 +19,7 @@ Two findings worth knowing before trusting any policer in production
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..core import FlowValveFrontend
@@ -29,10 +29,10 @@ from ..net import PacketFactory, PacketSink
 from ..nic import NicPipeline
 from ..sim import Simulator
 from ..stats.report import Table
-from .base import ScaledSetup, warn_deprecated
+from .base import ScaledSetup
 from .policies import motivation_policy
 
-__all__ = ["TcpRealismResult", "run", "run_tcp_realism", "tcp_realism_table"]
+__all__ = ["TcpRealismResult", "run"]
 
 #: The published testbed for both TCP-realism regimes.
 DEFAULT_SETUP = ScaledSetup(nominal_link_bps=10e9, scale=100.0, wire_bps=10e9, seed=21)
@@ -56,7 +56,18 @@ class TcpRealismResult:
         return (self.achieved[app] - target) / target
 
     def to_table(self) -> Table:
-        return tcp_realism_table(self, self.title)
+        """Render targets vs achieved with per-app drift."""
+        table = Table(self.title, ["app", "target", "TCP achieved", "drift"])
+        for app in sorted(self.targets):
+            table.add_row(
+                app,
+                f"{self.targets[app] / 1e9:.2f}G",
+                f"{self.achieved[app] / 1e9:.2f}G",
+                f"{self.drift(app):+.1%}" if self.targets[app] else "-",
+            )
+        table.add_row("total", f"{self.total_target / 1e9:.2f}G",
+                      f"{self.total_achieved / 1e9:.2f}G", "")
+        return table
 
 
 def run(
@@ -185,41 +196,3 @@ def _run_shared(setup: ScaledSetup, duration: float) -> TcpRealismResult:
         total_achieved=sum(achieved.values()),
         title="TCP realism (shared regime) — targets vs achieved",
     )
-
-
-def run_tcp_realism(
-    setup: ScaledSetup = DEFAULT_SETUP,
-    duration: float = 40.0,
-    connections_per_app: int = 1,
-) -> TcpRealismResult:
-    """Deprecated alias for :func:`run` with ``regime="backlogged"``."""
-    warn_deprecated("run_tcp_realism", "repro.experiments.tcp_realism.run(regime='backlogged')")
-    return run(setup, regime="backlogged", duration=duration,
-               connections_per_app=connections_per_app)
-
-
-def run_tcp_realism_shared(
-    setup: ScaledSetup = DEFAULT_SETUP,
-    duration: float = 40.0,
-) -> TcpRealismResult:
-    """Deprecated alias for :func:`run` with ``regime="shared"``."""
-    warn_deprecated("run_tcp_realism_shared", "repro.experiments.tcp_realism.run(regime='shared')")
-    return run(setup, regime="shared", duration=duration)
-
-
-def tcp_realism_table(result: TcpRealismResult, title: str) -> Table:
-    """Render targets vs achieved with per-app drift."""
-    table = Table(title, ["app", "target", "TCP achieved", "drift"])
-    for app in sorted(result.targets):
-        table.add_row(
-            app,
-            f"{result.targets[app] / 1e9:.2f}G",
-            f"{result.achieved[app] / 1e9:.2f}G",
-            f"{result.drift(app):+.1%}" if result.targets[app] else "-",
-        )
-    table.add_row("total", f"{result.total_target / 1e9:.2f}G",
-                  f"{result.total_achieved / 1e9:.2f}G", "")
-    return table
-
-
-__all__.append("run_tcp_realism_shared")

@@ -378,10 +378,10 @@ class EventQueue:
         run._trains.clear()
         run._queued = False
 
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises :class:`SimulationError` when the queue is empty.
+    def pop(self) -> Optional[Event]:
+        """Remove and return the earliest non-cancelled event, or
+        ``None`` when no live event is left (the cancelled ones met on
+        the way are dropped).
 
         Run-lane entries are unbundled one item at a time: the head
         item is returned (wrapped as an :class:`Event`) and the rest of
@@ -403,7 +403,7 @@ class EventQueue:
                         continue
                     return event
             if not heap:
-                raise SimulationError("pop from an empty event queue")
+                return None
             time, seq, payload = heapq.heappop(heap)
             cls = payload.__class__
             if cls is not Event:

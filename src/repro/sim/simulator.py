@@ -161,10 +161,11 @@ class Simulator:
     # the loop
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next event. Returns False when the queue is empty."""
-        if not self._queue:
-            return False
+        """Execute the next event. Returns False when no live event is
+        queued (cancelled events still in the queue do not count)."""
         event = self._queue.pop()
+        if event is None:
+            return False
         self._now = event.time
         self.events_executed += 1
         event.fn(*event.args)
@@ -265,19 +266,16 @@ class Simulator:
                             break
                         heappop(heap)
                         payload._queued = False
-                        # The whole drained segment counts as ONE
-                        # executed kernel event: one heap pop dispatched
-                        # it (that is the point of the run lane).
-                        executed += 1
                         trains = payload._trains
                         if not trains:
                             # A second entry under the run's key: the run
                             # re-armed under the key of one of its stale
-                            # entries and has drained since. The empty
-                            # segment still counts as an executed event, so
-                            # event counts stay those of a flat item list
-                            # (the reference lane in test_sim_runlane.py).
+                            # entries and has drained since.
                             continue
+                        # The whole drained segment counts as ONE
+                        # executed kernel event: one heap pop dispatched
+                        # it (that is the point of the run lane).
+                        executed += 1
                         t, _, cur = heappop(trains)
                         payload._cur = cur
                         times = cur.times

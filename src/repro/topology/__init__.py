@@ -12,9 +12,9 @@ conservative-window engine in :mod:`repro.sim.shard`:
 ...         .app("h0", "KVS", demand=((0.0, 30.0, 9e9),)))
 >>> result = SimulationSpec(topology=topo, setup=ScaledSetup()).run()
 
-Every classic entry point — ``run_flowvalve_timeline``, the ``fv
-simulate`` argument plumbing, the figure runners — is a thin adapter
-over this package (:func:`timeline` is the single-NIC one they share).
+The Fig. 11 timelines, the scheduler crossbar, the fabric sweep and
+``fv simulate`` are thin adapters over this package (:func:`timeline`
+is the single-NIC one the timelines share).
 """
 
 from .._lazy import lazy_exports

@@ -331,11 +331,16 @@ def timeline(
 ):
     """Run FlowValve on one simulated NIC against backlogged senders.
 
-    The figure-reproduction entry point (fig. 3/11/crossbar), rebuilt
-    as a thin adapter over :class:`~repro.topology.SimulationSpec` —
-    same world, same event stream, same
-    :class:`~repro.experiments.base.TimelineResult` shape as the
-    historical ``run_flowvalve_timeline``.
+    ``demands`` give each app's *offered* load in nominal bit/s over
+    time (0 = idle); senders blast at the scaled equivalent and the
+    scheduler enforces the policy. ``trace_path``/``metrics_path`` dump
+    the raw observability streams the figure was computed from (the
+    structured event trace and one metrics snapshot per bin, as JSONL);
+    without them the run pays no observability overhead.
+
+    The Fig. 11 reproductions and the examples run through this thin
+    adapter over :class:`~repro.topology.SimulationSpec`; it returns a
+    :class:`~repro.experiments.base.TimelineResult`.
     """
     from .spec import SimulationSpec, Topology
 

@@ -10,9 +10,9 @@ execution plan (shard count, window override, observability taps), and
 conservative-window barrier protocol (:mod:`repro.sim.shard`) for
 many.
 
-The classic entry points (``run_flowvalve_timeline``, ``fv simulate``'s
-argument plumbing, ``ScaledSetup.for_link`` construction snippets) are
-thin adapters over this module; see :func:`repro.topology.timeline`.
+The timeline figures, the scheduler crossbar and ``fv simulate``'s
+argument plumbing are thin adapters over this module; see
+:func:`repro.topology.timeline`.
 
 A *domain* — the unit of parallelism — is one NIC plus the hosts/apps
 that feed it and the sink that terminates wires pointing at it. Apps

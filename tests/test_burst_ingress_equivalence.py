@@ -69,7 +69,7 @@ def _observe(sim, nic, sink, records, senders):
     }
 
 
-def _run_fig11_motivation(ingress_burst: int, duration: float = 6.0) -> dict:
+def _fig11_motivation(ingress_burst: int, duration: float = 6.0) -> dict:
     """The golden-trace NIC workload (Fig. 11(a) motivation mix)."""
     setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
     sim = Simulator(seed=setup.seed)
@@ -105,7 +105,7 @@ def _run_fig11_motivation(ingress_burst: int, duration: float = 6.0) -> dict:
     return _observe(sim, nic, sink, records, senders)
 
 
-def _run_fig13_blast(ingress_burst: int, size: int = 1518, window: float = 0.004) -> dict:
+def _fig13_blast(ingress_burst: int, size: int = 1518, window: float = 0.004) -> dict:
     """Fig. 13-style full-rate blast: four apps oversubscribing a
     40 Gbit fair policy at full modelled rates, keeping the Tx ring and
     the scheduler's RED drops under pressure while trains are long."""
@@ -141,8 +141,8 @@ def _run_fig13_blast(ingress_burst: int, size: int = 1518, window: float = 0.004
 
 class TestBurstIngressEquivalence:
     def test_fig11_motivation_workload_bit_identical(self):
-        burst = _run_fig11_motivation(ingress_burst=64)
-        plain = _run_fig11_motivation(ingress_burst=0)
+        burst = _fig11_motivation(ingress_burst=64)
+        plain = _fig11_motivation(ingress_burst=0)
         # Trained ingress must actually engage (fewer kernel events) ...
         assert burst["events"] < plain["events"]
         # ... while every observable — including the full interleaved
@@ -158,8 +158,8 @@ class TestBurstIngressEquivalence:
         assert burst["dropped"] > 0
 
     def test_fig13_full_rate_blast_bit_identical(self):
-        burst = _run_fig13_blast(ingress_burst=64)
-        plain = _run_fig13_blast(ingress_burst=0)
+        burst = _fig13_blast(ingress_burst=64)
+        plain = _fig13_blast(ingress_burst=0)
         assert burst["events"] < plain["events"]
         del burst["events"], plain["events"]
         assert burst["records"] == plain["records"]
@@ -171,8 +171,8 @@ class TestBurstIngressEquivalence:
     def test_short_train_lengths_bit_identical(self):
         # A tiny cap forces many short trains and exercises the
         # train-boundary wake arithmetic; still bit-identical.
-        small = _run_fig11_motivation(ingress_burst=2, duration=2.0)
-        plain = _run_fig11_motivation(ingress_burst=0, duration=2.0)
+        small = _fig11_motivation(ingress_burst=2, duration=2.0)
+        plain = _fig11_motivation(ingress_burst=0, duration=2.0)
         del small["events"], plain["events"]
         assert small == plain
 

@@ -1,6 +1,7 @@
 """Tests for the fv command-line tool."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +207,78 @@ class TestSimulateScheduler:
         assert code == 1
         err = capsys.readouterr().err
         assert "cake" in err and "registered" in err
+
+
+MOTIVATION = str(Path(__file__).resolve().parents[1] / "examples" / "motivation.fv")
+MOTIVATION_APPS = [
+    "--link", "10gbit",
+    "--app", "NC=2gbit", "--app", "WS=9gbit", "--app", "KVS=9gbit", "--app", "ML=9gbit",
+]
+
+#: ``fv simulate`` stdout per mode on the motivation policy: the
+#: single-domain builder (``--nic``, ``--scheduler``), the sharded
+#: fabric and the trace workload. Everything printed is deterministic
+#: for the seed (the fabric's wall clock goes to stderr).
+GOLDEN_SIMULATE = {
+    "nic": (MOTIVATION_APPS + ["--duration", "2", "--scale", "1000", "--nic"], """\
+simulated 2.0s at link 10.00Gbit (nic mode, scale=1/1000, seed=7):
+       KVS: offered     9.00Gbit  achieved     3.03Gbit
+        ML: offered     9.00Gbit  achieved     3.04Gbit
+        NC: offered     2.00Gbit  achieved   678.00Mbit
+        WS: offered     9.00Gbit  achieved     3.04Gbit
+     total:     9.79Gbit
+  NIC: submitted=4837 forwarded=3279 dropped=1533 (queue_full=1533) tx_ring_max=1644 buffers_min_free=11473
+"""),
+    "wfq-eiffel": (MOTIVATION_APPS + [
+        "--duration", "2", "--scale", "1000", "--scheduler", "wfq", "--backend", "eiffel",
+    ], """\
+simulated 2.0s at link 10.00Gbit (scheduler=wfq, backend=eiffel, scale=1/1000, seed=7):
+       KVS: offered     9.00Gbit  achieved     2.96Gbit
+        ML: offered     9.00Gbit  achieved     2.95Gbit
+        NC: offered     2.00Gbit  achieved   966.00Mbit
+        WS: offered     9.00Gbit  achieved     2.99Gbit
+     total:     9.86Gbit
+  port[wfq[eiffel]]: in=4837 tx=1645 drop=2168 backlog=1024
+  wfq[eiffel]: enq=2669 deq=1645 drop=2168 (evicted=0, unclassified=0) backlog=1024
+"""),
+    "htb": (MOTIVATION_APPS + ["--duration", "2", "--scale", "1000", "--scheduler", "htb"], """\
+simulated 2.0s at link 10.00Gbit (scheduler=htb, backend=pifo, scale=1/1000, seed=7):
+       KVS: offered     9.00Gbit  achieved     2.45Gbit
+        ML: offered     9.00Gbit  achieved     3.06Gbit
+        NC: offered     2.00Gbit  achieved     1.94Gbit
+        WS: offered     9.00Gbit  achieved     2.41Gbit
+     total:     9.86Gbit
+  port[htb]: in=4837 tx=1645 drop=142 backlog=3050
+  htb: enq=4695 deq=1645 drop=142 (evicted=0, unclassified=0) backlog=3050
+"""),
+    "fabric": (MOTIVATION_APPS + [
+        "--duration", "2", "--scale", "2000", "--hosts", "4", "--shards", "2",
+    ], """\
+simulated 2.0s at link 10.00Gbit (fabric: 4 hosts, scale=1/2000, seed=7):
+       KVS: offered     9.00Gbit/host  achieved    11.44Gbit aggregate
+        ML: offered     9.00Gbit/host  achieved    11.44Gbit aggregate
+        NC: offered     2.00Gbit/host  achieved     2.56Gbit aggregate
+        WS: offered     9.00Gbit/host  achieved    11.44Gbit aggregate
+     total:    36.86Gbit
+  delivered=3072 drops=0/9674 windows=20
+"""),
+    "workload": ([
+        "--link", "10gbit", "--workload", "kvs", "--app", "KVS=2gbit", "--app", "WS=1gbit",
+        "--duration", "2", "--scale", "200",
+    ], """\
+simulated 2.0s at link 10.00Gbit (workload=kvs, scale=1/200, seed=7):
+       KVS: offered     2.00Gbit  achieved     1.97Gbit
+        WS: offered     1.00Gbit  achieved     1.07Gbit
+     total:     3.04Gbit
+  flows: started=3893 completed=3891 windows=2
+  delay: p50=16.2us p99=18.2us (nominal, sketch)
+  NIC: submitted=5089 forwarded=5081 dropped=0 (none) tx_ring_max=5 buffers_min_free=13129
+"""),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_SIMULATE))
+def test_simulate_stdout_golden(mode, capsys):
+    argv, expected = GOLDEN_SIMULATE[mode]
+    assert main(["simulate", MOTIVATION] + argv) == 0
+    assert capsys.readouterr().out == expected

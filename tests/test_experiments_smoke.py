@@ -13,7 +13,6 @@ from repro.experiments import (
     TimelineResult,
     fair_policy,
     motivation_policy,
-    run_flowvalve_timeline,
     weighted_policy,
 )
 from repro.experiments import ablations, fabric
@@ -21,7 +20,7 @@ from repro.experiments.fig13 import PAPER_FIG13, _measure_flowvalve
 from repro.experiments.workloads import fair_queueing_demands, motivation_demands
 from repro.host.traffic import windows
 from repro.tc.validate import validate_policy
-from repro.topology import SimulationSpec
+from repro.topology import SimulationSpec, timeline
 
 
 class TestPolicies:
@@ -120,8 +119,8 @@ class TestMiniRuns:
             "KVS": windows((0, 10, 1e12)),
             "ML": windows((0, 10, 1e12)),
         }
-        result = run_flowvalve_timeline(policy, demands, setup, duration=10.0,
-                                        bin_seconds=2.0, title="mini")
+        result = timeline(policy, demands, setup, duration=10.0,
+                          bin_seconds=2.0, title="mini")
         # NC has strict priority over everything: it takes ~the link.
         assert result.mean_rate("NC", 4, 10) > 0.85 * 10e9
         assert result.total_rate(4, 10) < 1.05 * 10e9
@@ -159,16 +158,7 @@ class TestTcpRealismVariants:
 
 
 class TestUnifiedApi:
-    """The run(setup, **params) -> Result contract and its shims."""
-
-    def test_legacy_shim_warns_and_returns_legacy_shape(self):
-        from repro.experiments.ablations import run_update_interval_sensitivity
-
-        with pytest.warns(DeprecationWarning, match="run_update_interval_sensitivity"):
-            errors = run_update_interval_sensitivity(intervals=[0.5], duration=5.0)
-        # The shim keeps the historical bare-dict return shape.
-        assert set(errors) == {0.5}
-        assert set(errors[0.5]) == {"epoch", "continuous"}
+    """The run(setup, **params) -> Result contract."""
 
     def test_unified_results_expose_to_table(self):
         result = ablations.interval_sensitivity(intervals=[0.5], duration=5.0)

@@ -54,7 +54,7 @@ def _observe(sim, nic, sink, records):
     }
 
 
-def _run_fig11_motivation(fast_path: bool, duration: float = 6.0) -> dict:
+def _fig11_motivation(fast_path: bool, duration: float = 6.0) -> dict:
     """The golden-trace NIC workload (Fig. 11(a) motivation mix)."""
     setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
     sim = Simulator(seed=setup.seed)
@@ -89,7 +89,7 @@ def _run_fig11_motivation(fast_path: bool, duration: float = 6.0) -> dict:
     return _observe(sim, nic, sink, records)
 
 
-def _run_fig13_blast(fast_path: bool, size: int = 1518, window: float = 0.004) -> dict:
+def _fig13_blast(fast_path: bool, size: int = 1518, window: float = 0.004) -> dict:
     """Fig. 13-style full-rate blast: four apps oversubscribing a
     40 Gbit fair policy at full modelled rates (no rate scaling), which
     keeps the Tx ring and the scheduler's RED drops under pressure."""
@@ -124,8 +124,8 @@ def _run_fig13_blast(fast_path: bool, size: int = 1518, window: float = 0.004) -
 
 class TestFastSlowEquivalence:
     def test_fig11_motivation_workload_bit_identical(self):
-        fast = _run_fig11_motivation(fast_path=True)
-        slow = _run_fig11_motivation(fast_path=False)
+        fast = _fig11_motivation(fast_path=True)
+        slow = _fig11_motivation(fast_path=False)
         # The fast path must actually engage (fewer kernel events) ...
         assert fast["events"] < slow["events"]
         # ... while every observable — including the full interleaved
@@ -138,8 +138,8 @@ class TestFastSlowEquivalence:
         assert fast["dropped"] > 0
 
     def test_fig13_full_rate_blast_bit_identical(self):
-        fast = _run_fig13_blast(fast_path=True)
-        slow = _run_fig13_blast(fast_path=False)
+        fast = _fig13_blast(fast_path=True)
+        slow = _fig13_blast(fast_path=False)
         assert fast["events"] < slow["events"]
         del fast["events"], slow["events"]
         assert fast["records"] == slow["records"]

@@ -337,13 +337,13 @@ class TestSoftwareModeObservability:
 
 class TestExperimentIntegration:
     def test_timeline_runner_dumps_raw_streams(self, tmp_path):
-        from repro.experiments.base import run_flowvalve_timeline
         from repro.tc.parser import parse_script
+        from repro.topology import timeline
 
         trace_path = tmp_path / "fig.trace.jsonl"
         metrics_path = tmp_path / "fig.metrics.jsonl"
         setup = ScaledSetup(nominal_link_bps=10e9, scale=1000.0, wire_bps=10e9)
-        result = run_flowvalve_timeline(
+        result = timeline(
             parse_script(POLICY),
             {"A": lambda t: 9e9, "B": lambda t: 9e9},
             setup,
@@ -362,11 +362,11 @@ class TestExperimentIntegration:
         assert metric_rows[-1]["nic.submitted"] > 0
 
     def test_timeline_runner_default_has_no_observability(self):
-        from repro.experiments.base import run_flowvalve_timeline
         from repro.tc.parser import parse_script
+        from repro.topology import timeline
 
         setup = ScaledSetup(nominal_link_bps=10e9, scale=2000.0, wire_bps=10e9)
-        result = run_flowvalve_timeline(
+        result = timeline(
             parse_script(POLICY), {"A": lambda t: 9e9}, setup,
             duration=2.0, bin_seconds=1.0,
         )

@@ -24,6 +24,7 @@ from repro.sched import (
 )
 from repro.sched.adapters import DPDK_QOS_COSTS, FLOWVALVE_COSTS
 from repro.sim import Simulator
+from repro.topology import ScaledSetup
 
 FLOW = FiveTuple("10.0.0.1", "10.0.1.1", 1, 2)
 
@@ -290,6 +291,29 @@ class TestScheduledPort:
             ScheduledPort(sim, RankScheduler(FifoProgram()), link, freq_hz=0.0)
 
 
+def _bins(*rates):
+    """A 5 s-bin series of nominal rates."""
+    return [(5.0 * (i + 1), rate) for i, rate in enumerate(rates)]
+
+
+#: Crossbar port cells on the motivation workload at scale 1/1000 over
+#: 20 s: NC alone for three bins, then all four apps contend.
+PINNED_PORT_CELLS = {
+    "htb": ("scale=1/1000, scheduler=htb, drops=16381/35852", {
+        "KVS": _bins(0.0, 0.0, 0.0, 0.348e9),
+        "ML": _bins(0.0, 0.0, 0.0, 0.1392e9),
+        "NC": _bins(10.02e9, 10.0008e9, 10.0008e9, 2.784e9),
+        "WS": _bins(0.0, 0.0, 0.0, 9.36e9),
+    }),
+    "wfq": ("scale=1/1000, scheduler=wfq[pifo], drops=8598/35852", {
+        "KVS": _bins(0.0, 0.0, 0.0, 7.3824e9),
+        "ML": _bins(0.0, 0.0, 0.0, 6.8448e9),
+        "NC": _bins(14.0088e9, 14.0112e9, 14.0064e9, 0.8904e9),
+        "WS": _bins(0.0, 0.0, 0.0, 7.0368e9),
+    }),
+}
+
+
 class TestCrossbar:
     def test_spec_registered(self):
         spec = REGISTRY.get("sched_crossbar")
@@ -306,6 +330,16 @@ class TestCrossbar:
         )
         assert set(result.series) == {"KVS", "ML", "NC", "WS"}
         assert "scheduler=fifo[pifo]" in result.notes
+
+    @pytest.mark.parametrize("scheduler", sorted(PINNED_PORT_CELLS))
+    def test_port_cell_pinned(self, scheduler):
+        notes, series = PINNED_PORT_CELLS[scheduler]
+        result = crossbar.run(
+            ScaledSetup(scale=1000.0), scheduler=scheduler, workload="motivation",
+            duration=20.0, bin_seconds=5.0,
+        )
+        assert result.notes == notes
+        assert result.series == series
 
     def test_flowvalve_cell_uses_reference_path(self):
         result = crossbar.run(

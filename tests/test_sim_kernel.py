@@ -52,6 +52,22 @@ class TestScheduling:
         sim.run()
         assert fired == []
 
+    def test_step_skips_cancelled_events(self):
+        # Cancelled events stay counted until popped: step() must run
+        # the live event behind them, then report an empty queue.
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.0, fired.append, "zero").cancel()
+        sim.schedule(1.0, fired.append, "heap").cancel()
+        sim.schedule(2.0, fired.append, "live")
+        sim.schedule(3.0, fired.append, "tail").cancel()
+        assert sim.pending_events == 4
+        assert sim.step() is True
+        assert fired == ["live"] and sim.now == 2.0
+        assert sim.step() is False
+        assert sim.pending_events == 0
+        assert sim.events_executed == 1
+
     def test_run_until_stops_clock_exactly(self):
         sim = Simulator()
         sim.schedule(10.0, lambda: None)

@@ -479,9 +479,11 @@ class _RefSim:
                     break
                 heappop(heap)
                 payload.queued = False
+                items = payload.items
+                if not items:
+                    continue
                 payload.executing = True
                 executed += 1
-                items = payload.items
                 while items:
                     if payload.cancelled:
                         self._discard(payload)
@@ -521,8 +523,7 @@ class _RefSim:
             return False
         while True:
             if not heap:
-                # Cancelled events stay counted until popped.
-                raise SimulationError("pop from an empty event queue")
+                return False  # only cancelled events were left
             time, seq, payload = heappop(heap)
             if payload.__class__ is _RefRun:
                 if (time, seq) != payload.key or not payload.items:

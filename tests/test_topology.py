@@ -11,14 +11,12 @@ validation, and the public surface.
 import importlib
 import re
 import types
-import warnings
 
 import pytest
 
 import repro
 from repro.errors import ConfigError
 from repro.experiments.base import ScaledSetup as BaseScaledSetup
-from repro.experiments.base import run_flowvalve_timeline
 from repro.experiments.policies import motivation_policy
 from repro.experiments.workloads import motivation_demands
 from repro.topology import (
@@ -96,16 +94,6 @@ class TestPublicSurface:
 
 
 class TestTimelineAdapter:
-    def test_classic_shim_matches_timeline(self, policy, demands, setup):
-        direct = timeline(policy, demands, setup, duration=6.0, bin_seconds=2.0)
-        with pytest.deprecated_call():
-            shimmed = run_flowvalve_timeline(
-                policy, demands, setup, duration=6.0, bin_seconds=2.0
-            )
-        assert shimmed.series == direct.series
-        assert shimmed.notes == direct.notes
-        assert shimmed.bin_seconds == direct.bin_seconds
-
     def test_timeline_notes_keep_classic_format(self, policy, demands, setup):
         result = timeline(policy, demands, setup, duration=4.0)
         assert result.notes.startswith(f"scale=1/{setup.scale:.0f}, drops=")
