@@ -10,10 +10,9 @@ per-packet fast path). This bench pins the recovered budget:
   the single-NIC ratio), bit-identical tallies across shard counts and
   with the lane off, and the exact fluid-off event count (the
   fallback-exactness guard, as in the hot-path bench).
-* **Artifact**: ``BENCH_fabric.json`` — recorded at ``shards=2`` so
-  the CI fabric regression gate (``fv bench --shards 2 --baseline``)
-  compares like with like, with the lane counters and per-domain
-  event breakdown for localizing a regression.
+* **Artifact**: ``BENCH_fabric.json`` — recorded at ``shards=2``,
+  with the lane counters and per-domain event breakdown for
+  localizing a regression.
 """
 
 import os
@@ -91,8 +90,7 @@ def test_fabric_events_per_packet(benchmark, emit):
         extra={
             "seed": fabric.DEFAULT_SETUP.seed,
             "hosts": HOSTS,
-            # Recorded shard count: the `fv bench --baseline` gate only
-            # compares artifacts from the same shard count.
+            # Recorded shard count (the hot-path artifact records 1).
             "shards": 2,
             "workers": run.workers,
             "fluid_absorbed": run.fluid_absorbed,

@@ -28,7 +28,7 @@ from repro.experiments import hotpath
 from repro.stats.perf import measure_run, write_json
 
 # v0 seed-code reference constants (commit c37e241) live next to the
-# workload builder so `fv bench` reports the same baselines.
+# workload builder.
 SEED_EVENTS = hotpath.SEED_EVENTS
 SEED_PACKETS = hotpath.SEED_PACKETS
 SEED_PKT_PER_SEC = hotpath.SEED_PKT_PER_SEC
@@ -100,8 +100,7 @@ def test_hotpath_events_and_packets_per_sec(benchmark, emit):
             "seed_pkt_per_sec_ref": SEED_PKT_PER_SEC,
             "speedup_pkt_per_sec_vs_seed": speedup_pkt,
             "kernel_events_cut_vs_seed": events_ratio,
-            # Single-NIC hot path: the `fv bench --baseline` gate skips
-            # artifacts recorded at a different shard count.
+            # Single-NIC hot path (the fabric artifact records 2).
             "shards": 1,
             "workers": 1,
             "fabric": fabric_row,

@@ -14,9 +14,8 @@ mechanisms together (DESIGN.md §12):
   buckets stay in the hundreds while 1.86M delay samples stream
   through, every workload ledger folds away, and process peak RSS
   stays far below what per-packet or per-flow state would cost.
-* **Artifact**: ``BENCH_megaflow.json`` — the baseline for the CI
-  regression gate (``fv bench --workload trace --baseline``), with
-  the flow/cache/sketch tallies for localizing a regression.
+* **Artifact**: ``BENCH_megaflow.json`` — the counts above with the
+  flow/cache/sketch tallies for localizing a regression.
 """
 
 import os
@@ -91,8 +90,8 @@ def test_megaflow_events_per_packet(benchmark, emit):
         extra={
             "seed": megaflow.DEFAULT_SETUP.seed,
             "shards": 1,
-            # Recorded workload: the `fv bench --baseline` gate only
-            # compares artifacts from the same workload.
+            # Recorded workload, so artifacts of the three benches
+            # cannot be mistaken for one another.
             "workload": "trace",
             **run.extra(),
         },

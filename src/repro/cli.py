@@ -13,7 +13,6 @@ replayed:
                                              # software-mode what-if run
    $ fv campaign run fig13 --workers 4      # parallel experiment grid
    $ fv campaign status --manifest campaign.manifest.jsonl
-   $ fv bench --baseline BENCH_hotpath.json # hot-path perf + regression gate
 
 ``simulate`` runs the policy in software mode against constant-rate
 app demands and prints the achieved rate per app — a quick what-if
@@ -176,53 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
              "determinism check (the CI fabric fluid-smoke step)",
     )
 
-    bench = sub.add_parser(
-        "bench", parents=[_sim_parent(explicit=True)],
-        help="hot-path microbenchmark: kernel events/sec, packets/sec",
-    )
-    bench.add_argument(
-        "--out", default="BENCH_hotpath.json", metavar="JSON",
-        help="result artifact path (default BENCH_hotpath.json; "
-             "BENCH_megaflow.json with --workload trace)",
-    )
-    bench.add_argument(
-        "--workload", default="hotpath", choices=("hotpath", "trace"),
-        help="bench workload: the fig11a hot path (default), or the "
-             "E-MEGAFLOW million-flow batched heavy-tailed trace "
-             "(--workload trace): deterministic counters on stdout, "
-             "wall time on stderr, and the artifact records the "
-             "workload so --baseline gates compare like with like",
-    )
-    bench.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run the workload N times (fresh build each time) and "
-             "report median/min wall time; events/packet is checked "
-             "identical across repeats (default 1)",
-    )
-    bench.add_argument(
-        "--baseline", default=None, metavar="JSON",
-        help="committed BENCH json to regress against: exit 1 when "
-             "events/packet exceeds the baseline by more than the "
-             "tolerance (the ratio is deterministic per seed, so this "
-             "works across machines)",
-    )
-    bench.add_argument(
-        "--tolerance", type=float, default=0.02,
-        help="allowed relative events/packet increase vs --baseline "
-             "(default 0.02)",
-    )
-    bench.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="bench the sharded fabric engine on N worker processes "
-             "(an 8-host ring) instead of the single-NIC hot path; "
-             "the artifact records the shard count so the --baseline "
-             "gate only compares like with like (default 1)",
-    )
-    bench.add_argument(
-        "--hosts", type=int, default=8, metavar="N",
-        help="fabric size for --shards > 1 (default 8)",
-    )
-
     campaign = sub.add_parser(
         "campaign", help="run experiment grids on a worker pool",
     )
@@ -242,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="worker processes (0 = run inline; default 1)")
     crun.add_argument("--timeout", type=float, default=None,
                       help="per-task wall-clock budget in seconds")
-    crun.add_argument("--retries", type=int, default=2,
-                      help="retry budget for transient failures (default 2)")
-    crun.add_argument("--backoff", type=float, default=0.5,
-                      help="base retry backoff in seconds, doubled per "
-                           "attempt (default 0.5)")
     crun.add_argument(
         "--set", action="append", default=[], metavar="KEY=V1,V2",
         help="override a grid axis, e.g. --set seed=11,12 or "
@@ -328,6 +275,12 @@ def _parse_apps(specs: List[str]) -> Dict[str, float]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.scale <= 0:
+        raise ReproError(f"--scale must be positive, got {args.scale}")
+    for flag, value in (("--packet-size", args.packet_size),
+                        ("--hosts", args.hosts), ("--shards", args.shards)):
+        if value < 1:
+            raise ReproError(f"{flag} must be at least 1, got {value}")
     policy = _load_policy(args.script)
     link = parse_rate(args.link)
     demands = _parse_apps(args.app)
@@ -386,7 +339,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     }
     forwarded = {app: 0 for app in demands}
     size_bits = (args.packet_size + 20) * 8
-    heap = [(0.0, app) for app in sorted(demands)]
+    # A zero-rate app offers nothing; it reports achieved 0.
+    heap = [(0.0, app) for app in sorted(demands) if demands[app] > 0]
     heapq.heapify(heap)
     while heap:
         t, app = heapq.heappop(heap)
@@ -470,8 +424,6 @@ def _cmd_simulate_nic(args: argparse.Namespace, policy, link: float, demands: Di
     from .topology import ScaledSetup, SimulationSpec
     from .topology.build import build_domains
 
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive, got {args.scale}")
     setup = ScaledSetup.for_link(link, scale=args.scale, seed=args.seed)
     spec = SimulationSpec(
         topology=_simulate_topology(args, policy, demands),
@@ -539,8 +491,6 @@ def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demand
     from .nic import NicPipeline
     from .sim import Simulator
 
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive, got {args.scale}")
     setup = ScaledSetup.for_link(link, scale=args.scale, seed=args.seed)
     sim = Simulator(seed=setup.seed)
     frontend = FlowValveFrontend(
@@ -605,12 +555,6 @@ def _cmd_simulate_fabric(args: argparse.Namespace, policy, link: float, demands:
     """
     from .topology import ScaledSetup, SimulationSpec
 
-    if args.scale <= 0:
-        raise ReproError(f"--scale must be positive, got {args.scale}")
-    if args.hosts < 1:
-        raise ReproError(f"--hosts must be at least 1, got {args.hosts}")
-    if args.shards < 1:
-        raise ReproError(f"--shards must be at least 1, got {args.shards}")
     setup = ScaledSetup.for_link(link, scale=args.scale, seed=args.seed)
     spec = SimulationSpec(
         topology=_simulate_topology(args, policy, demands),
@@ -643,244 +587,6 @@ def _cmd_simulate_fabric(args: argparse.Namespace, policy, link: float, demands:
         f"wall={result.wall_seconds:.2f}s",
         file=sys.stderr,
     )
-    return 0
-
-
-# ----------------------------------------------------------------------
-# fv bench
-# ----------------------------------------------------------------------
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``fv bench``: the E-PERF hot-path microbenchmark from the shell.
-
-    Runs the same seeded Fig. 11(a) workload as
-    ``benchmarks/test_bench_hotpath.py`` (builder shared through
-    :mod:`repro.experiments.hotpath`), prints the one-line summary and
-    persists the JSON artifact. With ``--baseline`` it doubles as the
-    CI regression gate on the deterministic events/packet ratio.
-    """
-    import json
-    import os
-    import platform
-    import statistics
-    from dataclasses import replace as dc_replace
-
-    from .experiments import hotpath
-    from .stats.perf import measure_run, write_json
-
-    # The shared flags use suppressed defaults; the bench's canonical
-    # point is the recorded reference config (seed 7, scale 200, 20 s).
-    shards = getattr(args, "shards", 1)
-    hosts = getattr(args, "hosts", 8)
-    workload = getattr(args, "workload", "hotpath")
-    fabric_mode = shards > 1
-    trace_mode = workload == "trace"
-    if fabric_mode and trace_mode:
-        raise ReproError(
-            "--workload trace is single-NIC only (the megaflow trace "
-            "engine drives one pipeline); drop --shards"
-        )
-    seed = getattr(args, "seed", hotpath.DEFAULT_SETUP.seed)
-    repeat = getattr(args, "repeat", 1)
-    if fabric_mode:
-        from .experiments import fabric
-
-        scale = getattr(args, "scale", fabric.DEFAULT_SETUP.scale)
-        duration = getattr(args, "duration", 2.0)
-    elif trace_mode:
-        from .experiments import megaflow
-
-        scale = getattr(args, "scale", megaflow.DEFAULT_SETUP.scale)
-        duration = getattr(args, "duration", megaflow.DEFAULT_DURATION)
-    else:
-        scale = getattr(args, "scale", hotpath.DEFAULT_SETUP.scale)
-        duration = getattr(args, "duration", hotpath.DEFAULT_DURATION)
-    # The artifact name follows the workload unless the user chose one.
-    out = args.out
-    if trace_mode and out == "BENCH_hotpath.json":
-        out = "BENCH_megaflow.json"
-    if scale <= 0:
-        raise ReproError(f"--scale must be positive, got {scale}")
-    if duration <= 0:
-        raise ReproError(f"--duration must be positive, got {duration}")
-    if repeat < 1:
-        raise ReproError(f"--repeat must be at least 1, got {repeat}")
-    if shards < 1:
-        raise ReproError(f"--shards must be at least 1, got {shards}")
-    workers = min(shards, hosts) if fabric_mode else 1
-
-    # Each repeat rebuilds the world from the seed: wall time varies
-    # with the machine, but events/packets must not — a fixed seed is
-    # the whole point of the events/packet gate.
-    results = []
-    if fabric_mode:
-        label = f"fabric{hosts}-shards{shards}-scale{scale:g}-{duration:g}s"
-        fabric_setup = dc_replace(fabric.DEFAULT_SETUP, scale=scale, seed=seed)
-        for _ in range(repeat):
-            fr = fabric.run(
-                fabric_setup, hosts=hosts, shards=shards, duration=duration,
-            )
-            results.append(fr.perf(label))
-    elif trace_mode:
-        mf_setup = dc_replace(megaflow.DEFAULT_SETUP, scale=scale, seed=seed)
-        for _ in range(repeat):
-            mr = megaflow.run(mf_setup, duration=duration)
-            results.append(mr.perf)
-    else:
-        setup = dc_replace(hotpath.DEFAULT_SETUP, scale=scale, seed=seed)
-        label = f"fig11a-scale{setup.scale:g}-{duration:g}s"
-        for _ in range(repeat):
-            sim, nic = hotpath.build(setup)
-            results.append(measure_run(
-                sim, lambda: sim.run(until=duration), lambda: nic.submitted, label=label,
-            ))
-
-    first = results[0]
-    for r in results[1:]:
-        if (r.events, r.packets) != (first.events, first.packets):
-            raise ReproError(
-                "nondeterministic bench run: "
-                f"{r.events}/{r.packets} events/packets vs "
-                f"{first.events}/{first.packets} on an identical seed"
-            )
-    walls = sorted(r.wall_seconds for r in results)
-    wall_median = statistics.median(walls)
-    wall_min = walls[0]
-    # The reported result uses the median wall (robust against a cold
-    # first run); events/packets/ratio are identical in every repeat.
-    result = dc_replace(
-        first,
-        wall_seconds=wall_median,
-        events_per_sec=first.events / wall_median if wall_median > 0 else 0.0,
-        packets_per_sec=first.packets / wall_median if wall_median > 0 else 0.0,
-    )
-    if trace_mode:
-        # Everything on stdout is deterministic for a fixed seed (the
-        # fabric-simulate convention); wall-clock facts go to stderr so
-        # two runs can be diff-checked: `fv bench --workload trace
-        # 2>/dev/null`.
-        print(
-            f"megaflow[{result.label}]: events={result.events} "
-            f"packets={result.packets} "
-            f"events/packet={result.events_per_packet:.3f}"
-        )
-        print(
-            f"  flows={mr.flows} completed={mr.flows_completed} "
-            f"delivered={mr.delivered} dropped={mr.dropped} "
-            f"windows={mr.windows}"
-        )
-        print(
-            f"  emc: hits={mr.emc_hits} misses={mr.emc_misses} "
-            f"evictions={mr.emc_evictions} "
-            f"hit_ratio={mr.emc_hit_ratio:.3f}"
-        )
-        print(
-            f"  delay: p50={mr.delay.p50 * 1e6:.1f}us "
-            f"p99={mr.delay.p99 * 1e6:.1f}us (nominal) "
-            f"sketch_bins={mr.sketch_bins}"
-        )
-        print(
-            f"wall={wall_median:.2f}s peak_rss="
-            f"{mr.peak_rss_kib // 1024}MiB repeats={repeat}",
-            file=sys.stderr,
-        )
-    else:
-        print(result.summary())
-        if repeat > 1:
-            print(
-                f"repeats: {repeat} (wall median={wall_median:.2f}s "
-                f"min={wall_min:.2f}s)"
-            )
-
-    extra = {
-        "seed": seed,
-        "shards": shards,
-        "workload": workload,
-        "workers": workers,
-        "repeat": repeat,
-        "wall_seconds_all": [r.wall_seconds for r in results],
-    }
-    if fabric_mode:
-        # Lane and per-domain breakdowns (deterministic, same in every
-        # repeat) so the regression gate can localize which domain's
-        # lane disengaged, not just see the total ratio move.
-        extra.update({
-            "hosts": hosts,
-            "fluid_absorbed": fr.fluid_absorbed,
-            "fluid_spills": fr.fluid_spills,
-            "fluid_suspends": fr.fluid_suspends,
-            "domain_events": fr.domain_events,
-        })
-    elif trace_mode:
-        # Flow/cache/sketch tallies — deterministic, same in every
-        # repeat (peak RSS is process-lifetime, recorded for the bench
-        # memory bound rather than the gate).
-        extra.update(mr.extra())
-    else:
-        # Seed-code reference ratios only make sense for the canonical
-        # single-NIC hot-path workload.
-        extra.update({
-            "seed_events": hotpath.SEED_EVENTS,
-            "seed_packets": hotpath.SEED_PACKETS,
-            "seed_pkt_per_sec_ref": hotpath.SEED_PKT_PER_SEC,
-            "speedup_pkt_per_sec_vs_seed": (
-                result.packets_per_sec / hotpath.SEED_PKT_PER_SEC
-            ),
-            "kernel_events_cut_vs_seed": (
-                hotpath.SEED_EVENTS / result.events if result.events else 0.0
-            ),
-        })
-    extra.update({
-        "wall_seconds_median": wall_median,
-        "wall_seconds_min": wall_min,
-        # Wall-dependent rates only compare like-for-like on the same
-        # host/interpreter; record both next to the numbers.
-        "host": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "python_implementation": platform.python_implementation(),
-            "python_version": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-        },
-    })
-    write_json(out, result, extra=extra)
-    print(f"artifact: {out}")
-
-    if args.baseline is not None:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        base_workload = baseline.get("workload", "hotpath")
-        if base_workload != workload:
-            # Same reasoning as the shards skip below: the hot path and
-            # the megaflow trace have different events/packet ratios by
-            # design, so a cross-workload comparison means nothing.
-            print(
-                f"baseline {args.baseline}: recorded for workload="
-                f"{base_workload}, this run used --workload {workload}; "
-                "skipping the events/packet gate (ratios only compare "
-                "like with like)"
-            )
-            return 0
-        base_shards = baseline.get("shards", 1)
-        if base_shards != shards:
-            # Different workloads (single-NIC hot path vs. sharded
-            # fabric) have different events/packet ratios by design.
-            print(
-                f"baseline {args.baseline}: recorded at shards={base_shards}, "
-                f"this run used --shards {shards}; skipping the "
-                "events/packet gate (ratios only compare like with like)"
-            )
-            return 0
-        base_epp = baseline["events_per_packet"]
-        limit = base_epp * (1.0 + args.tolerance)
-        delta = (result.events_per_packet - base_epp) / base_epp if base_epp else 0.0
-        verdict = "ok" if result.events_per_packet <= limit else "REGRESSION"
-        print(
-            f"baseline {args.baseline}: events/packet "
-            f"{base_epp:.3f} -> {result.events_per_packet:.3f} "
-            f"({delta:+.2%}, tolerance {args.tolerance:.0%}): {verdict}"
-        )
-        if result.events_per_packet > limit:
-            return 1
     return 0
 
 
@@ -978,8 +684,6 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     runner = CampaignRunner(
         workers=args.workers,
         timeout=args.timeout,
-        retries=args.retries,
-        backoff=args.backoff,
         cache_dir=None if args.no_cache else args.cache_dir,
         manifest_path=args.manifest,
     )
@@ -1032,8 +736,6 @@ def main(argv=None) -> int:
             return _cmd_show(args)
         if args.command == "simulate":
             return _cmd_simulate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "campaign":
             if args.campaign_command == "list":
                 return _cmd_campaign_list(args)

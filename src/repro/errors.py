@@ -22,7 +22,6 @@ __all__ = [
     "UnknownClassError",
     "CapacityError",
     "CampaignError",
-    "TransientError",
 ]
 
 
@@ -110,14 +109,4 @@ class CampaignError(ReproError):
 
     Examples: an unknown spec name, a duplicate registration, or a
     result that violates the spec's declared schema.
-    """
-
-
-class TransientError(ReproError):
-    """A task failure the campaign runner may retry.
-
-    Experiment entry points (or the harness around them) raise this for
-    conditions expected to clear on a re-run — a busy resource, a
-    temporary file conflict. The runner retries with backoff up to its
-    ``retries`` budget; any other exception fails the task immediately.
     """

@@ -4,12 +4,12 @@ The paper's evaluation is a *grid* of runs — schedulers × scales ×
 seeds × packet sizes. This package turns each figure module's unified
 ``run(setup, **params) -> Result`` entry point into a declarative
 :class:`ExperimentSpec`, expands parameter grids into tasks, and
-executes them on a worker-process pool with per-task timeouts, retry
-with backoff, a content-addressed result cache, and a JSONL manifest.
+executes them on a worker-process pool with per-task timeouts, a
+content-addressed result cache, and a JSONL manifest.
 See DESIGN.md §9 and the ``fv campaign`` CLI.
 
 Importing this package registers the built-in specs (one per figure,
-plus harness smokes) in :data:`REGISTRY`.
+plus a harness smoke) in :data:`REGISTRY`.
 """
 
 from .cache import ResultCache, source_digest, task_key

@@ -1,4 +1,4 @@
-"""Built-in campaign specs: one per paper figure/table, plus smokes.
+"""Built-in campaign specs: one per paper figure/table, plus a smoke.
 
 Importing this module (or the campaign package) populates the global
 :data:`~repro.experiments.campaign.spec.REGISTRY`. Worker processes
@@ -8,22 +8,20 @@ regardless of the multiprocessing start method.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from ...errors import TransientError
 from ...stats.report import Table
 from .. import ablations, cpu_cores, crossbar, fabric, fig03, fig11, fig13, fig14, hotpath, megaflow, tcp_realism
 from ..base import ScaledSetup
 from .spec import REGISTRY, register
 
-__all__ = ["SmokeResult", "smoke_sleep", "smoke_fault"]
+__all__ = ["SmokeResult", "smoke_sleep"]
 
 
 # ----------------------------------------------------------------------
-# smoke specs (tiny, deterministic; used by tests and the CI smoke job)
+# smoke spec (tiny, deterministic; used by tests and the CI smoke job)
 # ----------------------------------------------------------------------
 @dataclass
 class SmokeResult:
@@ -49,31 +47,6 @@ def smoke_sleep(
     del setup
     time.sleep(seconds)
     return SmokeResult(label=label, value=seconds)
-
-
-def smoke_fault(
-    setup: Optional[ScaledSetup] = None,
-    *,
-    marker: str = "",
-    fail_times: int = 1,
-) -> SmokeResult:
-    """Fail transiently until *marker* has accumulated *fail_times*
-    attempts — exercises the runner's retry-with-backoff path. The
-    attempt count lives in a file because each attempt runs in a fresh
-    process."""
-    del setup
-    attempts = 0
-    if marker:
-        if os.path.exists(marker):
-            with open(marker) as fh:
-                attempts = len(fh.readlines())
-        if attempts < fail_times:
-            with open(marker, "a") as fh:
-                fh.write(f"attempt {attempts + 1}\n")
-            raise TransientError(
-                f"injected transient fault ({attempts + 1}/{fail_times})"
-            )
-    return SmokeResult(label="fault", value=float(attempts))
 
 
 # ----------------------------------------------------------------------
@@ -162,11 +135,6 @@ def _register_builtins() -> None:
     register(
         "smoke_sleep", smoke_sleep,
         description="harness smoke: sleep a configurable number of seconds",
-        schema={"value": float},
-    )
-    register(
-        "smoke_fault", smoke_fault,
-        description="harness smoke: transient fault injection for retry testing",
         schema={"value": float},
     )
 

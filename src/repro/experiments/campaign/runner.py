@@ -9,11 +9,11 @@ Fans ``(spec, params)`` tasks out over a pool of worker *processes*
 * a crashed task (segfault, OOM-kill) degrades to one ``failed``
   record instead of taking the campaign down.
 
-Transient failures (:class:`~repro.errors.TransientError`) are retried
-with exponential backoff up to the runner's ``retries`` budget; results
-are cached content-addressed (see :mod:`.cache`) so re-running a
-campaign recomputes only what changed; every terminal task streams one
-JSONL record to the manifest (see :mod:`.manifest`).
+Every task runs once: a task is a seeded simulation, so one that
+raises would raise again on a re-run. Results are cached
+content-addressed (see :mod:`.cache`) so re-running a campaign
+recomputes only what changed; every terminal task streams one JSONL
+record to the manifest (see :mod:`.manifest`).
 
 ``workers=0`` runs tasks inline in the calling process — no isolation
 or timeouts, but convenient under a debugger.
@@ -23,16 +23,20 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ...errors import CampaignError, TransientError
+from ...errors import CampaignError
 from ...stats.report import Table
 from .cache import ResultCache, source_digest, task_key
 from .manifest import ManifestWriter, TaskRecord
-from .spec import REGISTRY, SpecRegistry
+from .spec import REGISTRY
 
 __all__ = ["CampaignTask", "CampaignReport", "CampaignRunner"]
+
+#: Seconds the pool loop sleeps when no worker finished in a pass.
+_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -103,14 +107,11 @@ def _task_entry(conn, spec_name: str, params: Dict[str, Any]) -> None:
     """
     try:
         from . import builtin  # noqa: F401 — ensures builtins under spawn
-        registry = REGISTRY
-        spec = registry.get(spec_name)
+        spec = REGISTRY.get(spec_name)
         start = time.perf_counter()
         result = spec.execute(params)
         spec.validate(result)
         conn.send(("ok", result, time.perf_counter() - start))
-    except TransientError as exc:
-        conn.send(("transient", f"{type(exc).__name__}: {exc}", 0.0))
     except BaseException as exc:  # noqa: BLE001 — one task, one record
         conn.send(("failed", f"{type(exc).__name__}: {exc}", 0.0))
     finally:
@@ -122,10 +123,10 @@ class _Attempt:
     """A live worker process and the task it is executing."""
 
     task: CampaignTask
-    attempt: int
     process: multiprocessing.process.BaseProcess
     conn: Any
-    started: float
+    started: float  # monotonic, for the duration and the deadline
+    started_wall: float  # epoch seconds, for the manifest
     deadline: Optional[float]
 
 
@@ -137,27 +138,16 @@ class CampaignRunner:
         workers: int = 1,
         *,
         timeout: Optional[float] = None,
-        retries: int = 2,
-        backoff: float = 0.5,
         cache_dir: Optional[str] = None,
         manifest_path: Optional[str] = None,
-        registry: Optional[SpecRegistry] = None,
-        mp_context: Optional[str] = None,
-        poll_interval: float = 0.02,
     ) -> None:
         if workers < 0:
             raise CampaignError(f"workers must be >= 0, got {workers}")
-        if retries < 0:
-            raise CampaignError(f"retries must be >= 0, got {retries}")
         self.workers = workers
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.registry = registry if registry is not None else REGISTRY
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.manifest_path = manifest_path
-        self.poll_interval = poll_interval
-        start_method = mp_context or ("fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+        start_method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
 
     # ------------------------------------------------------------------
@@ -190,7 +180,7 @@ class CampaignRunner:
             )
         tasks: List[CampaignTask] = []
         for name in spec_names:
-            spec = self.registry.get(name)
+            spec = REGISTRY.get(name)
             merged = {**shared, **scoped.get(name, {})}
             for index, params in enumerate(spec.param_sets(merged)):
                 tasks.append(CampaignTask(spec.name, params).with_id(index))
@@ -284,50 +274,28 @@ class CampaignRunner:
             key = self._key_for(task, digest)
             if self._try_cache(task, key, report, manifest):
                 continue
-            spec = self.registry.get(task.spec)
-            attempts = 0
+            spec = REGISTRY.get(task.spec)
             started = time.time()
-            while True:
-                attempts += 1
-                begin = time.perf_counter()
-                try:
-                    result = spec.execute(task.params)
-                    spec.validate(result)
-                except TransientError as exc:
-                    if attempts <= self.retries:
-                        time.sleep(self.backoff * (2 ** (attempts - 1)))
-                        continue
-                    self._finish(report, manifest, TaskRecord(
-                        task_id=task.task_id, spec=task.spec,
-                        params=dict(task.params), status="failed",
-                        attempts=attempts, duration=time.perf_counter() - begin,
-                        cache_key=key, error=f"{type(exc).__name__}: {exc}",
-                        started=started, finished=time.time(),
-                    ))
-                    break
-                except Exception as exc:  # noqa: BLE001
-                    self._finish(report, manifest, TaskRecord(
-                        task_id=task.task_id, spec=task.spec,
-                        params=dict(task.params), status="failed",
-                        attempts=attempts, duration=time.perf_counter() - begin,
-                        cache_key=key, error=f"{type(exc).__name__}: {exc}",
-                        started=started, finished=time.time(),
-                    ))
-                    break
-                else:
-                    duration = time.perf_counter() - begin
-                    self._store(task, key, result, duration)
-                    self._finish(report, manifest, TaskRecord(
-                        task_id=task.task_id, spec=task.spec,
-                        params=dict(task.params), status="ok",
-                        attempts=attempts, duration=duration, cache_key=key,
-                        started=started, finished=time.time(),
-                    ), result)
-                    break
+            begin = time.perf_counter()
+            error = None
+            try:
+                result = spec.execute(task.params)
+                spec.validate(result)
+            except Exception as exc:  # noqa: BLE001 — one task, one record
+                result, error = None, f"{type(exc).__name__}: {exc}"
+            duration = time.perf_counter() - begin
+            if error is None:
+                self._store(task, key, result, duration)
+            self._finish(report, manifest, TaskRecord(
+                task_id=task.task_id, spec=task.spec, params=dict(task.params),
+                status="ok" if error is None else "failed",
+                duration=duration, cache_key=key, error=error,
+                started=started, finished=time.time(),
+            ), result)
 
     # -- pool mode ------------------------------------------------------
-    def _spawn(self, task: CampaignTask, attempt: int) -> _Attempt:
-        spec = self.registry.get(task.spec)
+    def _spawn(self, task: CampaignTask) -> _Attempt:
+        spec = REGISTRY.get(task.spec)
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_task_entry,
@@ -341,10 +309,10 @@ class CampaignRunner:
         now = time.monotonic()
         return _Attempt(
             task=task,
-            attempt=attempt,
             process=process,
             conn=parent_conn,
             started=now,
+            started_wall=time.time(),
             deadline=(now + budget) if budget is not None else None,
         )
 
@@ -356,28 +324,19 @@ class CampaignRunner:
         manifest: Optional[ManifestWriter],
     ) -> None:
         keys: Dict[str, str] = {}
-        pending: List[Tuple[float, CampaignTask, int]] = []  # (ready_at, task, attempt)
+        pending: Deque[CampaignTask] = deque()
         for task in tasks:
             key = self._key_for(task, digest)
             keys[task.task_id] = key
             if not self._try_cache(task, key, report, manifest):
-                pending.append((0.0, task, 1))
+                pending.append(task)
         running: List[_Attempt] = []
-        start_times: Dict[str, float] = {}
         try:
             while pending or running:
-                now = time.monotonic()
-                # Launch whatever is ready while worker slots are free.
-                ready = [p for p in pending if p[0] <= now]
-                while ready and len(running) < self.workers:
-                    entry = ready.pop(0)
-                    pending.remove(entry)
-                    _, task, attempt = entry
-                    start_times.setdefault(task.task_id, time.time())
-                    running.append(self._spawn(task, attempt))
-                progressed = self._reap(running, pending, keys, start_times, report, manifest)
-                if not progressed:
-                    time.sleep(self.poll_interval)
+                while pending and len(running) < self.workers:
+                    running.append(self._spawn(pending.popleft()))
+                if not self._reap(running, keys, report, manifest):
+                    time.sleep(_POLL_INTERVAL)
         finally:
             for attempt in running:  # interrupted: leave no orphans
                 attempt.process.terminate()
@@ -386,9 +345,7 @@ class CampaignRunner:
     def _reap(
         self,
         running: List[_Attempt],
-        pending: List[Tuple[float, CampaignTask, int]],
         keys: Dict[str, str],
-        start_times: Dict[str, float],
         report: CampaignReport,
         manifest: Optional[ManifestWriter],
     ) -> bool:
@@ -396,7 +353,6 @@ class CampaignRunner:
         progressed = False
         for attempt in list(running):
             task = attempt.task
-            key = keys[task.task_id]
             outcome: Optional[Tuple[str, Any, float]] = None
             if attempt.conn.poll():
                 try:
@@ -407,19 +363,8 @@ class CampaignRunner:
                 outcome = ("failed", f"worker exited with code {attempt.process.exitcode}", 0.0)
             elif attempt.deadline is not None and time.monotonic() > attempt.deadline:
                 attempt.process.terminate()
-                attempt.process.join()
-                self._finish(report, manifest, TaskRecord(
-                    task_id=task.task_id, spec=task.spec, params=dict(task.params),
-                    status="timeout", attempts=attempt.attempt,
-                    duration=time.monotonic() - attempt.started,
-                    worker=attempt.process.pid, cache_key=key,
-                    error=f"wall-clock deadline exceeded after {time.monotonic() - attempt.started:.2f}s",
-                    started=start_times[task.task_id], finished=time.time(),
-                ))
-                attempt.conn.close()
-                running.remove(attempt)
-                progressed = True
-                continue
+                elapsed = time.monotonic() - attempt.started
+                outcome = ("timeout", f"wall-clock deadline exceeded after {elapsed:.2f}s", 0.0)
             if outcome is None:
                 continue
             status, payload, worker_duration = outcome
@@ -428,22 +373,14 @@ class CampaignRunner:
             running.remove(attempt)
             progressed = True
             duration = time.monotonic() - attempt.started
+            key = keys[task.task_id]
             if status == "ok":
                 self._store(task, key, payload, worker_duration or duration)
-                self._finish(report, manifest, TaskRecord(
-                    task_id=task.task_id, spec=task.spec, params=dict(task.params),
-                    status="ok", attempts=attempt.attempt, duration=duration,
-                    worker=attempt.process.pid, cache_key=key,
-                    started=start_times[task.task_id], finished=time.time(),
-                ), payload)
-            elif status == "transient" and attempt.attempt <= self.retries:
-                delay = self.backoff * (2 ** (attempt.attempt - 1))
-                pending.append((time.monotonic() + delay, task, attempt.attempt + 1))
-            else:
-                self._finish(report, manifest, TaskRecord(
-                    task_id=task.task_id, spec=task.spec, params=dict(task.params),
-                    status="failed", attempts=attempt.attempt, duration=duration,
-                    worker=attempt.process.pid, cache_key=key, error=str(payload),
-                    started=start_times[task.task_id], finished=time.time(),
-                ))
+            self._finish(report, manifest, TaskRecord(
+                task_id=task.task_id, spec=task.spec, params=dict(task.params),
+                status=status, duration=duration,
+                worker=attempt.process.pid, cache_key=key,
+                error=None if status == "ok" else str(payload),
+                started=attempt.started_wall, finished=time.time(),
+            ), payload if status == "ok" else None)
         return progressed

@@ -88,15 +88,14 @@ class FabricResult:
     def events_per_packet(self) -> float:
         """Kernel events per delivered packet — deterministic for a
         fixed spec, the fabric counterpart of the single-NIC hot-path
-        ratio the bench regression gate pins."""
+        ratio the hot-path bench pins."""
         if self.total_packets <= 0:
             return 0.0
         return self.total_events / self.total_packets
 
     def perf(self, label: str):
         """This run as the :class:`~repro.stats.perf.HotpathResult`
-        that ``BENCH_fabric.json`` and ``fv bench --shards N`` record
-        under *label*."""
+        that ``BENCH_fabric.json`` records under *label*."""
         from ..stats.perf import HotpathResult
 
         safe_wall = self.wall_seconds if self.wall_seconds > 0 else float("inf")

@@ -41,9 +41,8 @@ DEFAULT_DURATION = 20.0
 #: v0 seed-code reference on this workload (commit c37e241, measured
 #: interleaved with the optimized build on the same host): the seed
 #: executed 2,887,785 kernel events for the same 179,154 packets
-#: (16.1 ev/pkt) in ~9.4-11.8 s wall (~17.5k pkt/s). Shared by the
-#: bench suite and ``fv bench`` so every artifact reports the same
-#: vs-seed ratios.
+#: (16.1 ev/pkt) in ~9.4-11.8 s wall (~17.5k pkt/s). The hot-path
+#: bench records its vs-seed ratios in ``BENCH_hotpath.json``.
 SEED_EVENTS = 2_887_785
 SEED_PACKETS = 179_154
 SEED_PKT_PER_SEC = 17_500.0

@@ -175,6 +175,8 @@ class FixedRateSender:
     ):
         if rate_bps <= 0:
             raise ValueError(f"rate must be positive, got {rate_bps}")
+        if packet_size <= 0:
+            raise ValueError(f"packet size must be positive, got {packet_size}")
         self.sim = sim
         self.name = name
         self.factory = factory

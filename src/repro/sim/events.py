@@ -445,33 +445,6 @@ class EventQueue:
                 continue
             return payload
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or ``None`` when empty."""
-        heap = self._heap
-        while heap:
-            top = heap[0]
-            payload = top[2]
-            cls = payload.__class__
-            if cls is Event and payload.cancelled:
-                heapq.heappop(heap)
-                self._live -= 1
-            elif cls is EventRun and (top[0], top[1]) != payload._key:
-                heapq.heappop(heap)  # stale entry left behind by merge_run
-            elif cls is EventRun and payload.cancelled:
-                heapq.heappop(heap)
-                self._discard_run(payload)
-            else:
-                break
-        nowq = self._nowq
-        while nowq and nowq[0].cancelled:
-            nowq.popleft()
-            self._live -= 1
-        if nowq:
-            if heap and heap[0][0] < nowq[0].time:
-                return heap[0][0]
-            return nowq[0].time
-        return heap[0][0] if heap else None
-
 
 class SimEvent:
     """A one-shot waitable condition.

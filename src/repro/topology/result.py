@@ -40,8 +40,8 @@ class DomainSummary:
     records: Optional[List[tuple]] = None
     drop_records: Optional[List[tuple]] = None
     #: Fluid fast-forward lane tallies (0 when the lane is off). Part
-    #: of the bench artifact so the regression gate can localize which
-    #: domain's lane disengaged, not just the event total.
+    #: of the bench artifact so a regression can be localized to the
+    #: domain whose lane disengaged, not just the event total.
     fluid_absorbed: int = 0
     fluid_spills: int = 0
     fluid_suspends: int = 0

@@ -1,8 +1,8 @@
 """Tests for the campaign layer: specs, registry, cache, runner, CLI.
 
-Long-running pool behaviour (timeouts, retries) is exercised with the
-``smoke_sleep``/``smoke_fault`` specs — sub-second sleeps, no
-simulation — so the whole file stays fast.
+Long-running pool behaviour (timeouts, failures) is exercised with the
+``smoke_sleep`` spec — sub-second sleeps, no simulation — so the whole
+file stays fast; one CLI test runs three short simulations.
 """
 
 import json
@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.errors import CampaignError, TransientError
+from repro.errors import CampaignError
 from repro.experiments.campaign import (
     REGISTRY,
     CampaignRunner,
@@ -36,7 +36,8 @@ class TestSpecRegistry:
     def test_builtin_specs_registered(self):
         for name in ("fig03", "fig11a", "fig13", "fig14", "cpu_cores",
                      "lock_ablation", "propagation", "interval_sensitivity",
-                     "tcp_realism", "hotpath", "smoke_sleep", "smoke_fault"):
+                     "tcp_realism", "hotpath", "megaflow", "fabric_sweep",
+                     "smoke_sleep"):
             assert name in REGISTRY
 
     def test_register_and_get(self):
@@ -206,7 +207,7 @@ class TestRunnerPool:
         assert changed.counts == {"ok": 2}  # param change = cache miss
 
     def test_timeout_kills_hung_worker(self, tmp_path):
-        runner = CampaignRunner(workers=1, timeout=0.3, retries=0,
+        runner = CampaignRunner(workers=1, timeout=0.3,
                                 manifest_path=str(tmp_path / "m.jsonl"))
         report = runner.run(runner.tasks_for(
             ["smoke_sleep"], {"seconds": [30.0]},
@@ -219,53 +220,38 @@ class TestRunnerPool:
         loaded = read_manifest(str(tmp_path / "m.jsonl"))
         assert loaded[0].status == "timeout"
 
-    def test_retry_succeeds_after_transient_fault(self, tmp_path):
-        marker = str(tmp_path / "fault.marker")
-        runner = CampaignRunner(workers=1, retries=2, backoff=0.01)
-        report = runner.run(runner.tasks_for(
-            ["smoke_fault"], {"marker": [marker], "fail_times": [1]},
-        ))
-        assert report.ok
-        record = report.records[0]
-        assert record.status == "ok"
-        assert record.attempts == 2  # one transient failure, one success
-
-    def test_retries_exhausted_records_failed(self, tmp_path):
-        marker = str(tmp_path / "fault.marker")
-        runner = CampaignRunner(workers=1, retries=1, backoff=0.01)
-        report = runner.run(runner.tasks_for(
-            ["smoke_fault"], {"marker": [marker], "fail_times": [10]},
-        ))
-        assert report.records[0].status == "failed"
-        assert report.records[0].attempts == 2
-        assert "transient" in report.records[0].error
-
-    def test_inline_mode_matches_pool_semantics(self, tmp_path):
-        marker = str(tmp_path / "fault.marker")
-        runner = CampaignRunner(workers=0, retries=2, backoff=0.0)
-        report = runner.run(runner.tasks_for(
-            ["smoke_fault"], {"marker": [marker], "fail_times": [1]},
-        ))
-        assert report.ok
+    @pytest.mark.parametrize("workers", [0, 1], ids=["inline", "pool"])
+    def test_raising_task_fails_after_one_attempt(self, tmp_path, workers):
+        # time.sleep(-1) raises ValueError: a task that raises is
+        # recorded failed at once, in either mode, and never re-run.
+        runner = CampaignRunner(workers=workers,
+                                manifest_path=str(tmp_path / "m.jsonl"))
+        report = runner.run(runner.tasks_for(["smoke_sleep"], {"seconds": [-1]}))
+        assert not report.ok
+        [record] = report.records
+        assert record.status == "failed"
+        assert record.attempts == 1
+        assert record.error.startswith("ValueError")
+        assert read_manifest(str(tmp_path / "m.jsonl")) == [record]
 
     def test_scoped_overrides_apply_per_spec(self):
         runner = CampaignRunner(workers=0)
         tasks = runner.tasks_for(
-            ["smoke_sleep", "smoke_fault"],
+            ["smoke_sleep", "hotpath"],
             overrides={
                 "smoke_sleep.seconds": [0.01],
-                "smoke_fault.fail_times": [0],
+                "hotpath.duration": [2.0],
                 "seed": [5],  # bare key: every spec
             },
         )
         by_spec = {t.spec: t.params for t in tasks}
         assert by_spec["smoke_sleep"] == {"seconds": 0.01, "seed": 5}
-        assert by_spec["smoke_fault"] == {"fail_times": 0, "seed": 5}
+        assert by_spec["hotpath"] == {"duration": 2.0, "seed": 5}
 
     def test_scoped_override_for_absent_spec_rejected(self):
         runner = CampaignRunner(workers=0)
         with pytest.raises(CampaignError, match="not in this campaign"):
-            runner.tasks_for(["smoke_sleep"], {"smoke_fault.fail_times": [0]})
+            runner.tasks_for(["smoke_sleep"], {"hotpath.duration": [2.0]})
 
     def test_duplicate_task_ids_rejected(self):
         runner = CampaignRunner(workers=0)
@@ -276,18 +262,6 @@ class TestRunnerPool:
     def test_invalid_workers_rejected(self):
         with pytest.raises(CampaignError, match="workers"):
             CampaignRunner(workers=-1)
-
-
-class TestTransientError:
-    def test_is_raised_by_smoke_fault(self, tmp_path):
-        from repro.experiments.campaign.builtin import smoke_fault
-
-        marker = str(tmp_path / "m")
-        with pytest.raises(TransientError):
-            smoke_fault(marker=marker, fail_times=1)
-        # second call sees the marker and succeeds
-        result = smoke_fault(marker=marker, fail_times=1)
-        assert result.value == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -358,6 +332,31 @@ class TestCampaignCli:
             _parse_set_overrides(["seed="])
         with pytest.raises(SystemExit, match="duplicate"):
             _parse_set_overrides(["seed=1", "seed=2"])
+
+    def test_perf_workloads_print_their_tables(self, tmp_path, capsys, monkeypatch):
+        # The shell route to the three perf workloads at short settings.
+        # The fabric cell (8 hosts, 2 shards, 2 s) pins the same counts
+        # as benchmarks/test_bench_fabric.py.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "campaign", "run", "hotpath", "megaflow", "fabric_sweep",
+            "--workers", "0", "--no-cache", "--tables",
+            "--set", "hotpath.duration=2",
+            "--set", "megaflow.duration=0.01",
+            "--set", "fabric_sweep.hosts=8",
+            "--set", "fabric_sweep.shards=2",
+            "--set", "fabric_sweep.duration=2.0",
+            "--manifest", "m.jsonl",
+        ])
+        assert code == 0
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        for title in ("hotpath — fig11a-scale200-2s",
+                      "megaflow — megaflow-scale200-0.01s-batched",
+                      "fabric — 8 hosts, 2 shards"):
+            assert title in lines
+        fabric = lines[lines.index("fabric — 8 hosts, 2 shards"):]
+        assert "events executed 981" in fabric
+        assert "packets delivered 6028" in fabric
 
     def test_shared_sim_flags_become_grid_axes(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -138,6 +138,34 @@ class TestSimulate:
         assert code == 1
         assert "scale" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--packet-size", "0"),
+        ("--packet-size", "-20"),
+        ("--hosts", "0"),
+        ("--shards", "0"),
+    ])
+    def test_rejects_non_positive_counts(self, policy_file, capsys, flag, value):
+        # Rejected before any mode runs: a zero-byte frame would never
+        # advance simulated time in the DES modes, a negative one
+        # divides by zero in software mode, and zero hosts or shards
+        # describe no world.
+        code = main([
+            "simulate", policy_file, "--link", "10mbit",
+            "--app", "A=1mbit", "--duration", "1", flag, value,
+        ])
+        assert code == 1
+        assert f"fv: error: {flag} must be at least 1" in capsys.readouterr().err
+
+    def test_zero_rate_app_reports_nothing_achieved(self, policy_file, capsys):
+        code = main([
+            "simulate", policy_file, "--link", "10mbit",
+            "--app", "A=0bit", "--app", "B=1mbit", "--duration", "1",
+        ])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        [line_a] = [line for line in lines if line.strip().startswith("A:")]
+        assert line_a.split("achieved")[1].strip() == "0bit"
+
     def test_achieved_rates_respect_policy(self, policy_file, capsys):
         main([
             "simulate", policy_file, "--link", "10mbit",

@@ -83,6 +83,13 @@ class TestFixedRateSender:
         with pytest.raises(ValueError):
             FixedRateSender(Simulator(), "A", PacketFactory(), lambda p: True, rate_bps=0)
 
+    def test_rejects_zero_packet_size(self):
+        # A zero-byte frame has a zero emission interval: simulated time
+        # would never advance past the first send.
+        with pytest.raises(ValueError, match="packet size"):
+            FixedRateSender(Simulator(), "A", PacketFactory(), lambda p: True,
+                            rate_bps=1e6, packet_size=0)
+
     def test_first_packet_lands_exactly_on_window_open(self):
         # Idle regression: a closed demand used to be polled on a
         # 10x-interval grid, so the first packet after a 0 -> rate

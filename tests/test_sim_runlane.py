@@ -135,7 +135,7 @@ class TestMergeRun:
     path): new entries may interleave with or precede the pending
     items. When the merged head moves earlier than the queued heap key,
     a fresh heap entry is pushed and the old one goes *stale*; the
-    event loop and ``peek_time`` must skip any popped run entry whose
+    event loop and ``step()`` must skip any popped run entry whose
     ``(time, seq)`` key no longer matches ``run._key``.
     """
 
@@ -160,11 +160,15 @@ class TestMergeRun:
         sim.run()
         assert log == ["early", "late"]
 
-    def test_stale_entry_invisible_to_peek_time(self):
+    def test_stale_entry_skipped_by_step(self):
         sim = Simulator()
-        run = sim._queue.push_run([(0.5, print, ())])
-        sim._queue.merge_run(run, [(0.1, print, ())])
-        assert sim._queue.peek_time() == 0.1
+        log = []
+        run = sim._queue.push_run([(0.5, log.append, ("late",))])
+        sim._queue.merge_run(run, [(0.1, log.append, ("early",))])
+        assert sim.step()
+        assert log == ["early"]
+        assert sim.now == 0.1
+        assert sim.pending_events == 1
 
     def test_merge_equal_time_ties_follow_insertion_order(self):
         # Merged items draw their seq at merge time: an equal-time heap
@@ -265,12 +269,14 @@ class TestRunCancellation:
         assert log == ["a"]
         assert sim.pending_events == 0
 
-    def test_cancelled_run_prunes_from_peek_time(self):
+    def test_cancelled_run_skipped_by_step(self):
         sim = Simulator()
         run = sim._queue.push_run([(0.1, print, ())])
         sim.schedule_at(0.4, lambda: None)
         run.cancel()
-        assert sim._queue.peek_time() == 0.4
+        assert sim.step()
+        assert sim.now == 0.4
+        assert sim.pending_events == 0
 
 
 class TestRunHorizonAndStep:
