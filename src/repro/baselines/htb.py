@@ -333,15 +333,3 @@ class HtbQdisc(Qdisc):
     @property
     def backlog(self) -> int:
         return sum(len(leaf.queue) for leaf in self._leaves)
-
-    def class_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-class lifetime counters for reports."""
-        return {
-            c.classid: {
-                "sent_packets": c.sent_packets,
-                "sent_bits": c.sent_bits,
-                "borrowed_packets": c.borrowed_packets,
-                "tail_drops": c.queue.tail_drops,
-            }
-            for c in self._leaves
-        }

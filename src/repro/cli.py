@@ -281,8 +281,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                         ("--hosts", args.hosts), ("--shards", args.shards)):
         if value < 1:
             raise ReproError(f"{flag} must be at least 1, got {value}")
-    policy = _load_policy(args.script)
     link = parse_rate(args.link)
+    if link <= 0:
+        raise ReproError(f"--link must be positive, got {args.link}")
+    policy = _load_policy(args.script)
     demands = _parse_apps(args.app)
     if getattr(args, "workload", None):
         if args.hosts > 1 or args.shards > 1:

@@ -22,7 +22,7 @@ scheduling function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..errors import PolicyError, UnknownClassError
@@ -53,13 +53,6 @@ class SchedulingParams:
         class one full missed epoch of slack.
     min_burst_bits:
         Capacity floor so tiny rates can still pass an MTU frame.
-    gamma_mode:
-        ``"forwarded"`` counts only transmitted packets into Γ (the
-        paper's Eq. 3 definition); ``"offered"`` counts every arrival
-        (the literal line ordering of Algorithm 1). Forwarded is the
-        default; the difference is an ablation knob.
-    borrow_enabled:
-        Master switch for the shadow-bucket borrowing subprocedure.
     overhead_bytes:
         Per-frame wire overhead (preamble + inter-frame gap, 20 B)
         charged by the meter on top of the L2 size. Without it, token
@@ -98,8 +91,6 @@ class SchedulingParams:
     expire_after: float = 0.01
     burst_intervals: float = 2.0
     min_burst_bits: float = 2 * 12_336.0
-    gamma_mode: str = "forwarded"
-    borrow_enabled: bool = True
     overhead_bytes: int = 20
     link_headroom: float = 0.03
     continuous_refill: bool = True
@@ -113,27 +104,17 @@ class SchedulingParams:
             raise PolicyError("update_interval must be positive")
         if self.expire_after < self.update_interval:
             raise PolicyError("expire_after must be >= update_interval")
-        if self.gamma_mode not in ("forwarded", "offered"):
-            raise PolicyError(f"unknown gamma_mode {self.gamma_mode!r}")
 
     @classmethod
     def scaled(cls, factor: float, **overrides) -> "SchedulingParams":
         """Params for a rate-scaled experiment: time constants stretch
         by *factor* so that (rate × interval) products — and therefore
         every convergence dynamic — are invariant."""
-        base = cls(**overrides) if overrides else cls()
-        return cls(
+        base = cls(**overrides)
+        return replace(
+            base,
             update_interval=base.update_interval * factor,
             expire_after=base.expire_after * factor,
-            burst_intervals=base.burst_intervals,
-            min_burst_bits=base.min_burst_bits,
-            gamma_mode=base.gamma_mode,
-            borrow_enabled=base.borrow_enabled,
-            overhead_bytes=base.overhead_bytes,
-            link_headroom=base.link_headroom,
-            continuous_refill=base.continuous_refill,
-            gamma_alpha=base.gamma_alpha,
-            gamma_peak_decay=base.gamma_peak_decay,
         )
 
     def packet_bits(self, size_bytes: int) -> float:
@@ -236,23 +217,6 @@ class ClassNode:
         if now > self.last_seen:
             self.last_seen = now
 
-    def is_quiescent_at(self, t: float) -> bool:
-        """The fluid lane's quiescence flag: judged with current state,
-        a scheduling walk touching this class at time *t* is provably
-        skip-only — nobody holds the update flag, no update can become
-        due by *t* (``last_update`` only grows), and the class stays
-        active through *t* under its current ``last_seen``. The same
-        three conditions gate the fast handler's wakeup elision
-        (:meth:`FlowValveNicApp.handle_fast`); here they also certify
-        that the class's buckets evolve in closed form until *t*.
-        """
-        if self.updating:
-            return False
-        params = self.params
-        if t - self.last_update >= params.update_interval:
-            return False
-        return (t - self.last_seen) <= params.expire_after
-
     # ------------------------------------------------------------------
     # the update subprocedure (one core at a time per class)
     # ------------------------------------------------------------------
@@ -347,15 +311,9 @@ class ClassNode:
             self.tracer.emit(now, "core.sched", "expire", classid=self.classid)
 
     # ------------------------------------------------------------------
-    def count_forwarded(self, size_bits: float, observe_gamma: bool = True) -> None:
-        """Add one forwarded packet's tokens to Γ and the counters.
-
-        ``observe_gamma=False`` skips the Γ accumulation — used by
-        ``gamma_mode="offered"``, where Γ was already counted at
-        arrival and only the forwarded counters remain to update.
-        """
-        if observe_gamma:
-            self.gamma.observe(size_bits)
+    def count_forwarded(self, size_bits: float) -> None:
+        """Add one forwarded packet's tokens to Γ and the counters."""
+        self.gamma.observe(size_bits)
         self.forwarded_packets += 1
         self.forwarded_bits += size_bits
 

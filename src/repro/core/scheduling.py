@@ -19,10 +19,11 @@ The class is written so the same object can run in two modes:
 
 * **software mode** — call :meth:`decide` (all steps, synchronously);
   used by unit tests and the software-reference scheduler;
-* **embedded mode** — the NIC worker model calls the granular step
-  methods (:meth:`touch_path`, :meth:`update_step`, :meth:`meter_leaf`,
-  :meth:`borrow`, :meth:`commit`) so it can charge per-step cycle
-  costs and model the update flag being *held* across simulated time.
+* **embedded mode** — the NIC app
+  (:class:`~repro.nic.apps.FlowValveNicApp`) calls :meth:`path_nodes`,
+  :meth:`touch_path` and :meth:`commit` and runs the update and borrow
+  walks itself, so it can charge per-step cycle costs and model the
+  update flag being *held* across simulated time.
 """
 
 from __future__ import annotations
@@ -124,23 +125,11 @@ class SchedulingFunction:
         self.stats.updates_skipped += 1
         return False
 
-    def meter_leaf(self, packet: Packet, leaf: ClassNode, now: Optional[float] = None) -> MeterColor:
-        """Line 6: the leaf meter — the only bucket that throttles.
-
-        With ``continuous_refill`` (the hardware-meter model) the
-        bucket first accrues tokens up to *now* at its current rate.
-        """
-        if now is not None and self.params.continuous_refill:
-            leaf.bucket.refill(now)
-        return leaf.bucket.meter(self.params.packet_bits(packet.size))
-
     def borrow(self, packet: Packet, now: float, size_bits: Optional[float] = None) -> Optional[ClassNode]:
         """Lines 9-15: query lender shadow buckets in label order.
 
         Returns the lender that granted tokens, or ``None``.
         """
-        if not self.params.borrow_enabled:
-            return None
         if size_bits is None:
             size_bits = self.params.packet_bits(packet.size)
         for lender_id in packet.borrow_label:
@@ -171,26 +160,19 @@ class SchedulingFunction:
         packet: Packet,
         path: List[ClassNode],
         borrowed_from: Optional[ClassNode],
-        gamma_counted: bool = False,
         size_bits: Optional[float] = None,
     ) -> None:
         """Account a FORWARD: add the packet's tokens to Γ of every
-        class on its path (Eq. 3; ``gamma_mode="forwarded"``), and
-        drain root/interior buckets — they "use tokens to measure flow
+        class on its path (Eq. 3 counts forwarded packets), and drain
+        root/interior buckets — they "use tokens to measure flow
         rate", and that drain is what determines the unconsumed excess
         their next update transfers to the shadow bucket (Fig. 9:
         Γ_S2 = Γ_ML, so S2's lendable part already excludes ML's use).
-
-        ``gamma_counted=True`` (the ``"offered"`` Γ mode) skips the Γ
-        observation — it already happened at arrival — but performs
-        every other piece of forwarding accounting identically, so both
-        Γ modes report the same forwarded/borrow statistics.
         """
         if size_bits is None:
             size_bits = self.params.packet_bits(packet.size)
-        observe_gamma = not gamma_counted
         for node in path:
-            node.count_forwarded(size_bits, observe_gamma)
+            node.count_forwarded(size_bits)
             if node.children:
                 node.bucket.consume(size_bits)
         stats = self.stats
@@ -203,17 +185,6 @@ class SchedulingFunction:
             leaf.borrowed_bits += size_bits
             key = (leaf.classid, borrowed_from.classid)
             stats.borrow_matrix[key] = stats.borrow_matrix.get(key, 0) + 1
-
-    def _count_offered(
-        self, packet: Packet, path: List[ClassNode], size_bits: Optional[float] = None
-    ) -> None:
-        """Alternative Γ accounting: count on arrival (the literal
-        line ordering of Algorithm 1) — the ``gamma_mode="offered"``
-        ablation."""
-        if size_bits is None:
-            size_bits = self.params.packet_bits(packet.size)
-        for node in path:
-            node.gamma.observe(size_bits)
 
     # ------------------------------------------------------------------
     # software mode
@@ -229,9 +200,6 @@ class SchedulingFunction:
         path = self.path_nodes(packet)
         self.touch_path(path, now)
         size_bits = params.packet_bits(packet.size)
-        offered_mode = params.gamma_mode == "offered"
-        if offered_mode:
-            self._count_offered(packet, path, size_bits)
         update_step = self.update_step
         for node in path:
             update_step(node, now)
@@ -252,9 +220,7 @@ class SchedulingFunction:
                         classid=leaf.classid, app=packet.app, size=packet.size,
                     )
                 return Verdict.DROP
-        # Both Γ modes run the same forwarding accounting; offered mode
-        # already counted Γ at arrival, so commit() only skips that.
-        self.commit(packet, path, borrowed_from, gamma_counted=offered_mode, size_bits=size_bits)
+        self.commit(packet, path, borrowed_from, size_bits=size_bits)
         return Verdict.FORWARD
 
     # ------------------------------------------------------------------

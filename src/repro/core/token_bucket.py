@@ -92,23 +92,6 @@ class TokenBucket:
         self.last_refill = now
         return self.tokens - before
 
-    def tokens_at(self, now: float) -> float:
-        """Closed-form projection of :meth:`refill`'s token count at
-        *now*, without mutating the bucket.
-
-        The fill between two refills is linear in elapsed time (one
-        rate, clamped at capacity), so the future balance of an
-        undisturbed bucket is fully determined — this is what lets the
-        fluid lane decide a flow's drain analytically before committing
-        any state change. Uses the exact float expression of
-        :meth:`refill` so a projection followed by the real refill can
-        never disagree.
-        """
-        dt = now - self.last_refill
-        if dt <= 0:
-            return self.tokens
-        return min(self.capacity, self.tokens + self.rate_bps * dt)
-
     def set_rate(self, rate_bps: float, now: float) -> None:
         """Re-rate the bucket: settle tokens at the old θ up to *now*,
         then switch to the new rate (so a rate change never retro-
@@ -185,11 +168,6 @@ class TokenBucket:
         if accepted > 0:
             self.tokens += accepted
         return accepted
-
-    @property
-    def fill_fraction(self) -> float:
-        """Current tokens as a fraction of capacity."""
-        return self.tokens / self.capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -11,7 +11,7 @@ paper's Fig. 13 cores column).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..stats.cpu import CpuReport
 
@@ -60,15 +60,6 @@ class HostCpu:
         """Convert host cycles to seconds."""
         return cycles / self.freq_hz
 
-    def utilizations(self) -> Dict[int, float]:
-        """Per-core busy fractions."""
-        return {core.core_id: core.utilization() for core in self._cores}
-
     def saturated(self, threshold: float = 0.95) -> List[int]:
         """Cores whose accounted busy time exceeds *threshold*."""
         return [c.core_id for c in self._cores if c.utilization() >= threshold]
-
-    def scheduler_core_equivalents(self, elapsed: float, prefix: str = "sched") -> float:
-        """Cores' worth of time spent in scheduler activities — the
-        quantity FlowValve saves by offloading."""
-        return self.report.core_equivalents(elapsed, prefix)

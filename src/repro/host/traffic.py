@@ -144,10 +144,6 @@ class TcpApp:
     def lost_packets(self) -> int:
         return sum(c.lost_packets for c in self.connections)
 
-    def total_cwnd(self) -> float:
-        """Aggregate congestion window in bytes (diagnostic)."""
-        return sum(c.cwnd for c in self.connections)
-
 
 class FixedRateSender:
     """A constant-bit-rate packet injector (the Fig. 13/14 stressor).

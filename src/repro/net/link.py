@@ -78,11 +78,6 @@ class Link:
         """Absolute time the wire becomes free."""
         return self._busy_until
 
-    @property
-    def is_busy(self) -> bool:
-        """True while a frame is currently being serialised."""
-        return self._busy_until > self.sim.now
-
     def send(self, packet: Packet) -> float:
         """Serialise *packet* and schedule its delivery.
 

@@ -117,12 +117,33 @@ class FlowValveNicApp(NicApp):
 
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> Generator:
+        """Label *packet*, then run Algorithm 1 under the configured
+        lock discipline (Fig. 7):
+
+        * ``trylock`` — FlowValve's design: a worker that loses a
+          class's update flag skips straight on;
+        * ``per_class_block`` — Fig. 7(c): each class's update attempt
+          waits on that class's lock;
+        * ``global_block`` — the naive offload: one lock guards the
+          whole update walk;
+        * ``sequential`` — Fig. 7(b): one lock serialises the whole
+          decision.
+
+        Cycle costs of skipped attempts accumulate into one yield
+        (fewer kernel events, identical total time); a won update
+        charges its body while the flag is held — that hold window is
+        what makes other workers skip, the paper's "only one core
+        executes this procedure at a time". The walk and the meter
+        charge are inline, so their trylock yields resume through two
+        generator frames; :meth:`_settle` finishes the decision.
+        """
         pipeline = self.pipeline
         sim = pipeline.sim
         config = pipeline.config
         costs = config.costs
         lock_mode = config.lock_mode
         cycles = self._cycles
+        cyc = self._cycles_cache  # inline _cycles: ~4 lookups per packet
 
         # --- labeling function ---------------------------------------
         labeler = self.labeler
@@ -142,105 +163,64 @@ class FlowValveNicApp(NicApp):
 
         # --- scheduling function (Algorithm 1) ------------------------
         scheduler = self.scheduler
+        stats = scheduler.stats
         path = scheduler.path_nodes(packet)
         scheduler.touch_path(path, sim._now)
-
-        if lock_mode == "sequential":
-            # Fig. 7(b): the entire scheduling function is single-
-            # threaded — every worker serialises on one lock for the
-            # whole decision.
-            yield self._global_lock.acquire()
-            try:
-                verdict = yield from self._sched_body(packet, path, costs, "trylock")
-            finally:
-                self._global_lock.release()
-            return verdict
-
-        if lock_mode == "global_block":
-            # Naive offload: one lock guards the whole tree's updates.
-            yield self._global_lock.acquire()
-            try:
-                yield from self._update_loop(path, costs, blocking=False)
-            finally:
-                self._global_lock.release()
-            verdict = yield from self._meter_and_borrow(packet, path, costs)
-            return verdict
-
-        if lock_mode == "per_class_block":
-            verdict = yield from self._sched_body(packet, path, costs, lock_mode)
-            return verdict
-
-        # trylock — FlowValve's design and the hot default. The update
-        # loop and meter/borrow bodies are inlined (instead of the
-        # ``yield from`` helpers the other modes use) so each of the
-        # ~4 yields per packet resumes through two generator frames,
-        # not four. The yield sequence and all state transitions are
-        # identical to _update_loop(blocking=False) + _meter_and_borrow.
-        stats = scheduler.stats
-        params = scheduler.params
+        blocking = lock_mode == "per_class_block"
         per_class = costs.sched_per_class
         trylock_cost = costs.update_trylock
         update_body = costs.update_body
-        cyc = self._cycles_cache  # inline _cycles: ~4 lookups per packet
-        accumulated = 0
-        for node in path:
-            accumulated += per_class
-            if node.try_begin_update(sim._now):
-                n = accumulated + update_body
-                sec = cyc.get(n)
-                yield sec if sec is not None else cycles(n)
-                accumulated = 0
-                node.perform_update(sim._now)
-                node.end_update()
-                stats.updates_run += 1
-            else:
-                accumulated += trylock_cost
-                stats.updates_skipped += 1
-        if accumulated:
-            sec = cyc.get(accumulated)
-            yield sec if sec is not None else cycles(accumulated)
-
-        leaf = path[-1]
-        size_bits = params.packet_bits(packet.size)
-        sec = cyc.get(costs.meter)
-        yield sec if sec is not None else cycles(costs.meter)
-        if params.continuous_refill:
-            leaf.bucket.refill(sim._now)
-        color = leaf.bucket.meter(size_bits)
-        borrowed_from = None
-        if color is not MeterColor.GREEN:
-            if params.borrow_enabled:
-                for lender_id in packet.borrow_label:
-                    lender = scheduler.tree.node(lender_id)
-                    for leaf_lender in lender.leaf_descendants():
-                        if leaf_lender.try_begin_update(sim._now):
-                            yield cycles(costs.borrow_query + costs.update_body)
-                            leaf_lender.perform_update(sim._now)
-                            leaf_lender.end_update()
+        # Held over the update walk (global_block) or the whole decision
+        # (sequential); the finally releases it if the decision raises,
+        # which fails only this worker's process, not the run.
+        global_lock = self._global_lock
+        if global_lock is not None:
+            yield global_lock.acquire()
+        try:
+            accumulated = 0
+            for node in path:
+                accumulated += per_class
+                if blocking:
+                    # The lock acquire itself is an atomic probe, same
+                    # cost as the trylock path's.
+                    yield cycles(accumulated + trylock_cost)
+                    accumulated = 0
+                    lock = self._class_lock(node.classid)
+                    yield lock.acquire()
+                    try:
+                        if node.try_begin_update(sim._now):
+                            yield cycles(update_body)
+                            node.perform_update(sim._now)
+                            node.end_update()
                             stats.updates_run += 1
                         else:
-                            yield cycles(costs.borrow_query)
-                        if leaf_lender.shadow.meter(size_bits) is MeterColor.GREEN:
-                            leaf_lender.lent_bits += size_bits
-                            if scheduler.tracer is not None:
-                                scheduler.tracer.emit(
-                                    sim._now, "core.sched", "borrow",
-                                    borrower=path[-1].classid,
-                                    lender=leaf_lender.classid,
-                                    bits=size_bits,
-                                )
-                            borrowed_from = leaf_lender
-                            break
-                    if borrowed_from is not None:
-                        break
-            if borrowed_from is None:
-                stats.dropped += 1
-                stats.decisions += 1
-                packet.mark_dropped(DropReason.SCHED_RED)
-                return Verdict.DROP
-        scheduler.commit(packet, path, borrowed_from, size_bits=size_bits)
-        stats.decisions += 1
-        return Verdict.FORWARD
+                            stats.updates_skipped += 1
+                    finally:
+                        lock.release()
+                elif node.try_begin_update(sim._now):
+                    n = accumulated + update_body
+                    sec = cyc.get(n)
+                    yield sec if sec is not None else cycles(n)
+                    accumulated = 0
+                    node.perform_update(sim._now)
+                    node.end_update()
+                    stats.updates_run += 1
+                else:
+                    accumulated += trylock_cost
+                    stats.updates_skipped += 1
+            if accumulated:
+                sec = cyc.get(accumulated)
+                yield sec if sec is not None else cycles(accumulated)
+            if lock_mode == "global_block":
+                global_lock.release()
+                global_lock = None
+            sec = cyc.get(costs.meter)
+            yield sec if sec is not None else cycles(costs.meter)
+            verdict = yield from self._settle(packet, path)
+        finally:
+            if global_lock is not None:
+                global_lock.release()
+        return verdict
 
     def fast_handler(self) -> Optional[Callable[[Packet], Generator]]:
         """Fast form exists only for trylock — the blocking modes need
@@ -375,148 +355,54 @@ class FlowValveNicApp(NicApp):
             t += sec if sec is not None else cycles(costs.meter)
             at.time = t
             yield at
-
-        leaf = path[-1]
-        size_bits = params.packet_bits(packet.size)
-        if params.continuous_refill:
-            leaf.bucket.refill(sim._now)
-        color = leaf.bucket.meter(size_bits)
-        borrowed_from = None
-        if color is not MeterColor.GREEN:
-            if params.borrow_enabled:
-                for lender_id in packet.borrow_label:
-                    lender = scheduler.tree.node(lender_id)
-                    for leaf_lender in lender.leaf_descendants():
-                        if leaf_lender.try_begin_update(sim._now):
-                            yield cycles(costs.borrow_query + costs.update_body)
-                            leaf_lender.perform_update(sim._now)
-                            leaf_lender.end_update()
-                            stats.updates_run += 1
-                        else:
-                            yield cycles(costs.borrow_query)
-                        if leaf_lender.shadow.meter(size_bits) is MeterColor.GREEN:
-                            leaf_lender.lent_bits += size_bits
-                            if scheduler.tracer is not None:
-                                scheduler.tracer.emit(
-                                    sim._now, "core.sched", "borrow",
-                                    borrower=path[-1].classid,
-                                    lender=leaf_lender.classid,
-                                    bits=size_bits,
-                                )
-                            borrowed_from = leaf_lender
-                            break
-                    if borrowed_from is not None:
-                        break
-            if borrowed_from is None:
-                stats.dropped += 1
-                stats.decisions += 1
-                packet.mark_dropped(DropReason.SCHED_RED)
-                return Verdict.DROP
-        scheduler.commit(packet, path, borrowed_from, size_bits=size_bits)
-        stats.decisions += 1
-        return Verdict.FORWARD
-
-    def _sched_body(self, packet, path, costs, lock_mode) -> Generator:
-        if lock_mode == "per_class_block":
-            yield from self._update_loop(path, costs, blocking=True)
-        else:  # trylock — FlowValve's design
-            yield from self._update_loop(path, costs, blocking=False)
-        verdict = yield from self._meter_and_borrow(packet, path, costs)
+        verdict = yield from self._settle(packet, path)
         return verdict
 
-    def _update_loop(self, path, costs, blocking: bool) -> Generator:
-        """Walk the path's update attempts.
+    def _settle(self, packet: Packet, path) -> Generator:
+        """Algorithm 1 after the meter charge, at the current wall time:
+        the leaf meter, then for a red packet the borrowing walk over
+        its lenders' shadow buckets in label order, then the verdict.
 
-        Cycle costs of skipped attempts are *accumulated* and charged
-        in one yield (fewer kernel events, identical total time); an
-        acquired update still charges its body across simulated time
-        while the flag is held — that hold window is what makes other
-        workers skip, the paper's "only one core executes this
-        procedure at a time".
+        Querying a lender runs the lender's gated update ("the
+        borrowing procedure is simply another practice of the
+        rate-limiting process", Fig. 8) and yields for real, so other
+        workers see a won update flag held.
         """
-        sim = self.pipeline.sim
-        stats = self.scheduler.stats
-        cycles = self._cycles
-        per_class = costs.sched_per_class
-        trylock_cost = costs.update_trylock
-        update_body = costs.update_body
-        accumulated = 0
-        for node in path:
-            accumulated += per_class
-            if blocking:
-                # The lock acquire itself is an atomic probe, same cost
-                # as the trylock path's.
-                accumulated += trylock_cost
-                yield cycles(accumulated)
-                accumulated = 0
-                lock = self._class_lock(node.classid)
-                yield lock.acquire()
-                try:
-                    if node.try_begin_update(sim.now):
-                        yield cycles(update_body)
-                        node.perform_update(sim.now)
-                        node.end_update()
-                        stats.updates_run += 1
-                    else:
-                        stats.updates_skipped += 1
-                finally:
-                    lock.release()
-            else:
-                if node.try_begin_update(sim.now):
-                    yield cycles(accumulated + update_body)
-                    accumulated = 0
-                    node.perform_update(sim.now)
-                    node.end_update()
-                    stats.updates_run += 1
-                else:
-                    accumulated += trylock_cost
-                    stats.updates_skipped += 1
-        if accumulated:
-            yield cycles(accumulated)
-
-    def _meter_and_borrow(self, packet, path, costs) -> Generator:
         sim = self.pipeline.sim
         scheduler = self.scheduler
         stats = scheduler.stats
         params = scheduler.params
-        cycles = self._cycles
         leaf = path[-1]
         size_bits = params.packet_bits(packet.size)
-        yield cycles(costs.meter)
         if params.continuous_refill:
-            leaf.bucket.refill(sim.now)
-        color = leaf.bucket.meter(size_bits)
-        borrowed_from = None
-        if color is not MeterColor.GREEN:
-            if params.borrow_enabled:
-                for lender_id in packet.borrow_label:
-                    lender = scheduler.tree.node(lender_id)
-                    for leaf_lender in lender.leaf_descendants():
-                        if leaf_lender.try_begin_update(sim.now):
-                            yield cycles(costs.borrow_query + costs.update_body)
-                            leaf_lender.perform_update(sim.now)
-                            leaf_lender.end_update()
-                            stats.updates_run += 1
-                        else:
-                            yield cycles(costs.borrow_query)
-                        if leaf_lender.shadow.meter(size_bits) is MeterColor.GREEN:
-                            leaf_lender.lent_bits += size_bits
-                            if scheduler.tracer is not None:
-                                scheduler.tracer.emit(
-                                    sim._now, "core.sched", "borrow",
-                                    borrower=path[-1].classid,
-                                    lender=leaf_lender.classid,
-                                    bits=size_bits,
-                                )
-                            borrowed_from = leaf_lender
-                            break
-                    if borrowed_from is not None:
-                        break
-            if borrowed_from is None:
-                stats.dropped += 1
-                stats.decisions += 1
-                packet.mark_dropped(DropReason.SCHED_RED)
-                return Verdict.DROP
-        scheduler.commit(packet, path, borrowed_from, size_bits=size_bits)
+            leaf.bucket.refill(sim._now)
+        if leaf.bucket.meter(size_bits) is MeterColor.GREEN:
+            scheduler.commit(packet, path, None, size_bits=size_bits)
+            stats.decisions += 1
+            return Verdict.FORWARD
+        costs = self.pipeline.config.costs
+        cycles = self._cycles
+        for lender_id in packet.borrow_label:
+            for lender in scheduler.tree.node(lender_id).leaf_descendants():
+                if lender.try_begin_update(sim._now):
+                    yield cycles(costs.borrow_query + costs.update_body)
+                    lender.perform_update(sim._now)
+                    lender.end_update()
+                    stats.updates_run += 1
+                else:
+                    yield cycles(costs.borrow_query)
+                if lender.shadow.meter(size_bits) is MeterColor.GREEN:
+                    lender.lent_bits += size_bits
+                    if scheduler.tracer is not None:
+                        scheduler.tracer.emit(
+                            sim._now, "core.sched", "borrow",
+                            borrower=leaf.classid, lender=lender.classid,
+                            bits=size_bits,
+                        )
+                    scheduler.commit(packet, path, lender, size_bits=size_bits)
+                    stats.decisions += 1
+                    return Verdict.FORWARD
+        stats.dropped += 1
         stats.decisions += 1
-        return Verdict.FORWARD
+        packet.mark_dropped(DropReason.SCHED_RED)
+        return Verdict.DROP

@@ -111,7 +111,6 @@ class FluidLane:
         self._scheduler = app.scheduler
         self._cycles = app._cycles
         self._costs = pipeline.config.costs
-        self._params = app.scheduler.params
         # Constant cycle->seconds conversions of the fast handler's
         # fixed cost terms, folded out of the per-packet path. Each is
         # the exact float the app's cycle memo returns for the same
@@ -129,7 +128,7 @@ class FluidLane:
         self._reorder = pipeline.reorder
         self._tm = pipeline.traffic_manager
         self._overhead_bytes = app.scheduler.params.overhead_bytes
-        self._continuous_refill = self._params.continuous_refill
+        self._continuous_refill = app.scheduler.params.continuous_refill
         # Egress-chain bindings for the inlined forward epilogue (the
         # construction guard pins this exact chain: virtual Tx ring,
         # lazy sink deliveries, lazy buffer returns, no tracing).
@@ -393,8 +392,10 @@ class FluidLane:
                 path,
                 [(n, n.params.update_interval, n.params.expire_after) for n in path],
             )
-        # Inlined ClassNode.is_quiescent_at — three conditions per
-        # class, checked in the fast handler's short-circuit order.
+        # The fast handler's wakeup-elision test (handle_fast), three
+        # conditions per class in its short-circuit order: judged with
+        # current state the walk is skip-only, so the class's buckets
+        # evolve in closed form until ``t_walk``.
         for node, interval, expire in meta[1]:
             if node.updating:
                 return False
@@ -418,7 +419,7 @@ class FluidLane:
         if t2 > horizon:
             return False  # handle_fast would keep the slow wakeups
         lenders = None
-        if self._params.borrow_enabled and label.borrow:
+        if label.borrow:
             lenders = self._lenders(label.borrow)
             if lenders and t2 + self._lender_bound[label.borrow] > horizon:
                 # Worst case every lender wins its update trylock. The
@@ -573,7 +574,7 @@ class FluidLane:
     # ------------------------------------------------------------------
     def _meter_step(self, tv: float, job: _FluidJob) -> None:
         """The merged wakeup at ``t2``: leaf meter, then verdict or the
-        borrow walk (handle_fast's post-yield body). The leaf bucket's
+        borrow walk (FlowValveNicApp._settle). The leaf bucket's
         refill + meter are inlined with TokenBucket's exact float
         expressions."""
         leaf = job.path[-1]
@@ -655,7 +656,7 @@ class FluidLane:
         path = job.path
         size_bits = job.size_bits
         # Inlined Scheduler.commit(packet, path, borrowed_from,
-        # size_bits=...): Γ observed here (``gamma_mode="forwarded"``),
+        # size_bits=...): Γ observed here (Eq. 3 counts forwards),
         # interior buckets drained with consume()'s exact clamp.
         for node in path:
             node.gamma.observe(size_bits)

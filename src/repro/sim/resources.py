@@ -53,11 +53,6 @@ class Lock:
         """True while some process holds the lock."""
         return self._holder_count > 0
 
-    @property
-    def queue_length(self) -> int:
-        """Number of processes currently waiting."""
-        return len(self._waiters)
-
     def acquire(self) -> SimEvent:
         """Return an event that succeeds once the lock is held."""
         ev = SimEvent(self.sim)

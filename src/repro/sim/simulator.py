@@ -219,12 +219,17 @@ class Simulator:
                         ):
                             event = None  # an older heap event fires first
                     if event is not None:
+                        # Discard a cancelled head before the horizon
+                        # test, as the heap and run lanes do, so a run
+                        # that stops leaves none counted as pending.
+                        if event.cancelled:
+                            nowq.popleft()
+                            queue._live -= 1
+                            continue
                         if event.time > horizon:
                             break
                         nowq.popleft()
                         queue._live -= 1
-                        if event.cancelled:
-                            continue
                         self._now = event.time
                         executed += 1
                         event.fn(*event.args)

@@ -143,18 +143,21 @@ class TestSimulate:
         ("--packet-size", "-20"),
         ("--hosts", "0"),
         ("--shards", "0"),
+        ("--link", "0bit"),
     ])
     def test_rejects_non_positive_counts(self, policy_file, capsys, flag, value):
         # Rejected before any mode runs: a zero-byte frame would never
         # advance simulated time in the DES modes, a negative one
-        # divides by zero in software mode, and zero hosts or shards
-        # describe no world.
+        # divides by zero in software mode, zero hosts or shards
+        # describe no world, and a zero link divides by zero in
+        # software mode. The later --link wins.
         code = main([
             "simulate", policy_file, "--link", "10mbit",
             "--app", "A=1mbit", "--duration", "1", flag, value,
         ])
         assert code == 1
-        assert f"fv: error: {flag} must be at least 1" in capsys.readouterr().err
+        expected = "must be positive" if flag == "--link" else "must be at least 1"
+        assert f"fv: error: {flag} {expected}" in capsys.readouterr().err
 
     def test_zero_rate_app_reports_nothing_achieved(self, policy_file, capsys):
         code = main([

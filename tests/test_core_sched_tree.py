@@ -199,10 +199,6 @@ class TestSchedulingParams:
         with pytest.raises(PolicyError):
             SchedulingParams(update_interval=0.01, expire_after=0.005)
 
-    def test_bad_gamma_mode_rejected(self):
-        with pytest.raises(PolicyError):
-            SchedulingParams(gamma_mode="both")
-
     def test_scaled_stretches_time_constants(self):
         scaled = SchedulingParams.scaled(1000.0)
         assert scaled.update_interval == pytest.approx(1.0)
