@@ -37,7 +37,7 @@ EXPECTED_EVENTS = 203_531
 #: hold a million-flow trace under half an event per packet.
 EVENTS_PER_PACKET_CEILING = 0.5
 
-#: Peak-RSS bound (KiB). The run measures ~163 MiB end to end (166,560
+#: Peak-RSS bound (KiB). The run measures ~156 MiB end to end (159,332
 #: KiB on a 2-vCPU Linux container, Python 3.11); holding per-packet
 #: kernel items or delivery records, per-flow generator state, or
 #: every window's ledger would cost hundreds of MiB to gigabytes,

@@ -344,13 +344,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # A zero-rate app offers nothing; it reports achieved 0.
     heap = [(0.0, app) for app in sorted(demands) if demands[app] > 0]
     heapq.heapify(heap)
+    # Forwarded frames serialise onto one FIFO wire at the link rate
+    # (the policy's root may be faster than --link); a frame counts
+    # once its last bit is out by --duration.
+    wire_free = 0.0
     while heap:
         t, app = heapq.heappop(heap)
         if t >= args.duration:
             continue
         packet = factory.make(args.packet_size, flows[app], t, app=app)
         if valve.process(packet, t) is Verdict.FORWARD:
-            forwarded[app] += 1
+            wire_free = max(wire_free, t) + size_bits / link
+            if wire_free <= args.duration:
+                forwarded[app] += 1
         heapq.heappush(heap, (t + size_bits / demands[app], app))
 
     # A zero/negative duration simulates nothing; report zeros instead

@@ -3,11 +3,14 @@
 Observation 2 in the paper: the Netronome Exact Match Flow Cache uses
 dedicated lookup engines to memoise per-flow actions, enlarging the
 kernel flow-cache implementation "by 10 times". Here it memoises the
-labeling function's classification result per ``(five-tuple, vf)`` key
-so the rule walk only runs on a flow's first packet.
+labeling function's classification result per ``(five-tuple, vf,
+app)`` key — every field a filter can match — so the rule walk only
+runs on a flow's first packet.
 
-The cache is bounded with LRU eviction and supports idle expiry, so a
-long experiment with flow churn stays at a fixed footprint.
+The cache is bounded with LRU eviction, so a long experiment with flow
+churn stays at a fixed footprint. An entry is the cached value itself:
+entries leave only by eviction, :meth:`ExactMatchCache.invalidate` or
+:meth:`ExactMatchCache.clear`, never by age.
 """
 
 from __future__ import annotations
@@ -57,109 +60,53 @@ class PathCache:
 
 
 class ExactMatchCache(Generic[V]):
-    """A bounded LRU map with hit/miss statistics and idle expiry.
+    """A bounded LRU map with hit/miss statistics.
 
     Parameters
     ----------
     capacity: maximum entries (the EMC on the NFP is also finite).
-    idle_timeout: entries untouched for this long are treated as
-        misses and refreshed (0 disables expiry).
     """
 
-    def __init__(self, capacity: int = 65536, idle_timeout: float = 0.0):
+    def __init__(self, capacity: int = 65536):
         if capacity <= 0:
             raise CapacityError(f"cache capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self.idle_timeout = idle_timeout
-        #: key -> [value, stored_at]. Entries are two-slot *lists*, not
-        #: tuples: the hit-path refresh writes ``entry[1] = now`` in
-        #: place instead of allocating a replacement pair per lookup —
-        #: at 10⁶-entry churn the tuple realloc was the hottest
-        #: allocation site in the megaflow profile.
-        self._entries: "OrderedDict[Hashable, List]" = OrderedDict()
+        #: key -> value, least recently used first. The value is the
+        #: entry: the labeling function stores its shared per-leaf
+        #: labels, so an entry costs the key and one ordered-dict slot.
+        #: ``None`` is not a storable value (it reads as a miss).
+        self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
         #: Lookup statistics.
         self.hits = 0
         self.misses = 0
         #: Entries displaced by a *full* cache (capacity pressure).
         self.evictions = 0
-        #: Entries reclaimed because they sat idle past the timeout —
-        #: get()-time expiry, put()-time LRU-head reclaim, and
-        #: :meth:`expire` sweeps all count here, never as evictions.
-        self.expirations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, now: float = 0.0) -> Optional[V]:
-        """The cached value, or ``None`` on miss/expired."""
-        entry = self._entries.get(key)
-        if entry is None:
+    def get(self, key: Hashable) -> Optional[V]:
+        """The cached value, or ``None`` on miss."""
+        value = self._entries.get(key)
+        if value is None:
             self.misses += 1
             return None
-        value = entry[0]
-        if self.idle_timeout:
-            if (now - entry[1]) > self.idle_timeout:
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                return None
-            entry[1] = now
         self._entries.move_to_end(key)
         self.hits += 1
         return value
 
-    def put(self, key: Hashable, value: V, now: float = 0.0) -> None:
-        """Insert/refresh an entry, making room if the cache is full.
-
-        Room is reclaimed from the LRU head: an idle-expired head
-        counts as an expiration (the entry was dead either way — only
-        :meth:`get` used to notice, so churn workloads pinned corpses
-        at capacity and saw pure ``evictions``); a live head displaced
-        by capacity pressure counts as an eviction.
-        """
+    def put(self, key: Hashable, value: V) -> None:
+        """Insert/refresh an entry, evicting the LRU head if the cache
+        is full."""
         entries = self._entries
-        entry = entries.get(key)
-        if entry is not None:
-            # Refresh in place — no realloc, no delete/reinsert.
-            entry[0] = value
-            entry[1] = now
+        if key in entries:
+            entries[key] = value
             entries.move_to_end(key)
             return
         if len(entries) >= self.capacity:
-            if self.idle_timeout:
-                _, (_, stored_at) = next(iter(entries.items()))
-                if (now - stored_at) > self.idle_timeout:
-                    entries.popitem(last=False)
-                    self.expirations += 1
-                else:
-                    entries.popitem(last=False)
-                    self.evictions += 1
-            else:
-                entries.popitem(last=False)
-                self.evictions += 1
-        entries[key] = [value, now]
-
-    def expire(self, now: float) -> int:
-        """Sweep every idle-expired entry out; returns the count.
-
-        Entries are LRU-ordered by last touch and the stored timestamp
-        only grows toward the MRU end, so the sweep walks from the LRU
-        head and stops at the first live entry — O(expired), not
-        O(capacity).
-        """
-        if not self.idle_timeout:
-            return 0
-        entries = self._entries
-        timeout = self.idle_timeout
-        reclaimed = 0
-        while entries:
-            _, (_, stored_at) = next(iter(entries.items()))
-            if (now - stored_at) <= timeout:
-                break
             entries.popitem(last=False)
-            reclaimed += 1
-        self.expirations += reclaimed
-        return reclaimed
+            self.evictions += 1
+        entries[key] = value
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; True if it existed. Policy changes call

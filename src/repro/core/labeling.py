@@ -69,9 +69,7 @@ class LabelingFunction:
         except KeyError:
             raise UnknownClassError(leaf_id) from None
 
-    def label(
-        self, packet: Packet, now: float = 0.0, matched: object = _UNWALKED
-    ) -> Optional[QosLabel]:
+    def label(self, packet: Packet, matched: object = _UNWALKED) -> Optional[QosLabel]:
         """Classify *packet*, stamp and return its label.
 
         Returns ``None`` (and marks the packet dropped) when no rule
@@ -81,9 +79,11 @@ class LabelingFunction:
         this packet; the lookup is then counted without walking again.
         """
         cache = self.cache
-        key = (packet.flow, packet.vf_index)
+        # Every field a filter can match: a flow's packets from two
+        # apps on one VF are two entries.
+        key = (packet.flow, packet.vf_index, packet.app)
         if cache is not None:
-            cached = cache.get(key, now)
+            cached = cache.get(key)
             if cached is not None:
                 cached.apply_to(packet)
                 return cached
@@ -99,7 +99,7 @@ class LabelingFunction:
             return None
         label = self.label_for_leaf(leaf_id)
         if cache is not None:
-            cache.put(key, label, now)
+            cache.put(key, label)
         label.apply_to(packet)
         return label
 

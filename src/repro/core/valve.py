@@ -83,7 +83,7 @@ class FlowValve:
     def process(self, packet: Packet, now: float) -> Verdict:
         """Label then schedule one packet; the packet is marked dropped
         on a DROP verdict (including unclassifiable packets)."""
-        label = self.frontend.labeler.label(packet, now)
+        label = self.frontend.labeler.label(packet)
         if label is None:
             return Verdict.DROP
         return self.frontend.scheduler.decide(packet, now)

@@ -86,7 +86,6 @@ class MegaflowResult:
     emc_hits: int
     emc_misses: int
     emc_evictions: int
-    emc_expirations: int
     emc_hit_ratio: float
     #: One-way delay summary in *nominal* seconds (sketch accuracy).
     delay: LatencySummary
@@ -116,7 +115,6 @@ class MegaflowResult:
         table.add_row("emc hits", self.emc_hits)
         table.add_row("emc misses", self.emc_misses)
         table.add_row("emc evictions", self.emc_evictions)
-        table.add_row("emc expirations", self.emc_expirations)
         table.add_row("emc hit ratio", f"{self.emc_hit_ratio:.3f}")
         table.add_row("delay p50 (nominal µs)", f"{self.delay.p50 * 1e6:.1f}")
         table.add_row("delay p99 (nominal µs)", f"{self.delay.p99 * 1e6:.1f}")
@@ -137,7 +135,6 @@ class MegaflowResult:
             "emc_hits": self.emc_hits,
             "emc_misses": self.emc_misses,
             "emc_evictions": self.emc_evictions,
-            "emc_expirations": self.emc_expirations,
             "emc_hit_ratio": round(self.emc_hit_ratio, 6),
             "delay_p50_nominal": self.delay.p50,
             "delay_p99_nominal": self.delay.p99,
@@ -250,7 +247,6 @@ def run(
         emc_hits=emc.hits,
         emc_misses=emc.misses,
         emc_evictions=emc.evictions,
-        emc_expirations=emc.expirations,
         emc_hit_ratio=emc.hit_ratio,
         delay=delay,
         sketch_bins=sketch_bins,

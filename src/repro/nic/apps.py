@@ -149,9 +149,7 @@ class FlowValveNicApp(NicApp):
         labeler = self.labeler
         cache = labeler.cache
         hits_before = cache.hits if cache is not None else 0
-        # sim._now (not the .now property): this generator reads the
-        # clock several times per packet between yields.
-        label = labeler.label(packet, sim._now)
+        label = labeler.label(packet)
         if label is None:
             return Verdict.DROP
         if cache is not None and cache.hits > hits_before:
@@ -165,6 +163,8 @@ class FlowValveNicApp(NicApp):
         scheduler = self.scheduler
         stats = scheduler.stats
         path = scheduler.path_nodes(packet)
+        # sim._now (not the .now property): this generator reads the
+        # clock several times per packet between yields.
         scheduler.touch_path(path, sim._now)
         blocking = lock_mode == "per_class_block"
         per_class = costs.sched_per_class
@@ -263,7 +263,7 @@ class FlowValveNicApp(NicApp):
         cache = labeler.cache
         hits_before = cache.hits if cache is not None else 0
         t = sim._now + cycles(costs.fixed_overhead)
-        label = labeler.label(packet, t)
+        label = labeler.label(packet)
         if label is None:
             # The worker still pays the fixed overhead before dropping.
             yield At(t)

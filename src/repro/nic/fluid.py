@@ -333,7 +333,7 @@ class FluidLane:
         replays ``ExactMatchCache.get``'s bookkeeping and stamps the
         label; a miss runs the real, counted ``labeler.label`` — cache
         get-miss, the classifier's counters for the pre-walk's match,
-        insert with its eviction/expiry — and memoises the path through
+        insert with its eviction — and memoises the path through
         the real ``PathCache``. So outcomes
         are bit-identical to the per-packet path; only the kernel-event
         count differs.
@@ -351,20 +351,18 @@ class FluidLane:
         # Label time: arrival + fixed overhead (handle_fast's ``t``).
         t = now + self._c_label
         entries = cache._entries
-        key = (packet.flow, packet.vf_index)
-        entry = entries.get(key)
-        timeout = cache.idle_timeout
-        if entry is not None and not (timeout and (t - entry[1]) > timeout):
-            label = entry[0]
+        # LabelingFunction.label's key.
+        key = (packet.flow, packet.vf_index, packet.app)
+        label = entries.get(key)
+        hit = label is not None
+        if hit:
             t_walk = t + self._c_emc
         elif self._absorb_miss:
-            # EMC miss, or idle-expired (the real get() would miss):
-            # replay the classifier walk analytically.
+            # EMC miss: replay the classifier walk analytically.
             walked = self._try_fluid_miss(packet)
             if walked is None:
                 return False
             label, matched = walked
-            entry = None
             c_miss = self._c_miss
             if c_miss is None:
                 costs = self._costs
@@ -380,7 +378,7 @@ class FluidLane:
         path = scheduler.path_cache.entries.get(hierarchy)
         resolved = path is not None
         if not resolved:
-            if entry is not None:
+            if hit:
                 return False
             # Pure resolve for the quiescence probe; the commit below
             # memoises through the real PathCache (counter included).
@@ -436,20 +434,17 @@ class FluidLane:
             reorder._next_ticket = ticket + 1
         else:
             ticket = -1
-        if entry is not None:
-            if timeout:
-                entry[1] = t  # get()'s idle refresh, in place
+        if hit:
             entries.move_to_end(key)
             cache.hits += 1
             # Inlined label.apply_to(packet).
             packet.hierarchy_label = hierarchy
             packet.borrow_label = label.borrow
         else:
-            # The real, counted commit at the label timestamp —
-            # LabelingFunction.label is the exact code the fast handler
-            # runs — reusing the pre-walk's match instead of walking
-            # the rules a second time.
-            self._labeler.label(packet, t, matched)
+            # The real, counted commit — LabelingFunction.label is the
+            # exact code the fast handler runs — reusing the pre-walk's
+            # match instead of walking the rules a second time.
+            self._labeler.label(packet, matched)
             if not resolved:
                 path = scheduler.path_cache.resolve(scheduler.tree, hierarchy)
             self.miss_absorbed += 1

@@ -86,7 +86,7 @@ class FlowValveScheduler(Scheduler):
         self._fifo: Deque[Packet] = deque()
 
     def enqueue(self, packet: Packet, now: float) -> bool:
-        label = self.frontend.labeler.label(packet, now)
+        label = self.frontend.labeler.label(packet)
         if label is None:
             self.stats.unclassified += 1
             self.stats.dropped += 1

@@ -247,10 +247,19 @@ MOTIVATION_APPS = [
 ]
 
 #: ``fv simulate`` stdout per mode on the motivation policy: the
-#: single-domain builder (``--nic``, ``--scheduler``), the sharded
-#: fabric and the trace workload. Everything printed is deterministic
-#: for the seed (the fabric's wall clock goes to stderr).
+#: software loop (no mode flag), the single-domain modes (``--nic``,
+#: ``--scheduler``), the sharded fabric and the trace workload.
+#: Everything printed is deterministic for the seed (the fabric's wall
+#: clock goes to stderr).
 GOLDEN_SIMULATE = {
+    "software": (MOTIVATION_APPS + ["--duration", "0.1"], """\
+simulated 0.1s at link 10.00Gbit:
+       KVS: offered     9.00Gbit  achieved     3.18Gbit
+        ML: offered     9.00Gbit  achieved     2.04Gbit
+        NC: offered     2.00Gbit  achieved     2.00Gbit
+        WS: offered     9.00Gbit  achieved     2.58Gbit
+     total:     9.80Gbit
+"""),
     "nic": (MOTIVATION_APPS + ["--duration", "2", "--scale", "1000", "--nic"], """\
 simulated 2.0s at link 10.00Gbit (nic mode, scale=1/1000, seed=7):
        KVS: offered     9.00Gbit  achieved     3.03Gbit
@@ -313,3 +322,16 @@ def test_simulate_stdout_golden(mode, capsys):
     argv, expected = GOLDEN_SIMULATE[mode]
     assert main(["simulate", MOTIVATION] + argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_software_mode_caps_at_the_link(capsys):
+    # The motivation policy's root runs at 10 Gbit; forwarded frames
+    # still leave on a 5 Mbit --link, as they do in --nic mode.
+    assert main([
+        "simulate", MOTIVATION, "--link", "5mbit", "--app", "NC=1gbit", "--duration", "1",
+    ]) == 0
+    assert capsys.readouterr().out == """\
+simulated 1.0s at link 5.00Mbit:
+        NC: offered     1.00Gbit  achieved     5.00Mbit
+     total:     5.00Mbit
+"""

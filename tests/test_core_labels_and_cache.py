@@ -1,6 +1,8 @@
 """Tests for QoS labels, the exact-match flow cache, and the labeling
 function."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core import ExactMatchCache, FlowValveFrontend, QosLabel
@@ -73,12 +75,6 @@ class TestExactMatchCache:
         assert cache.get("a") == 1
         assert cache.evictions == 1
 
-    def test_idle_expiry(self):
-        cache = ExactMatchCache(capacity=4, idle_timeout=1.0)
-        cache.put("k", "v", now=0.0)
-        assert cache.get("k", now=0.5) == "v"
-        assert cache.get("k", now=2.0) is None  # expired
-
     def test_clear(self):
         cache = ExactMatchCache(capacity=4)
         cache.put("k", "v")
@@ -102,120 +98,102 @@ class TestExactMatchCache:
         cache.get("x")
         assert cache.hit_ratio == pytest.approx(0.5)
 
+    def test_entry_retains_no_per_entry_wrapper(self):
+        # An entry is the key's ordered-dict slot holding the shared
+        # value. The bound sits between that map's ~75 B/entry and the
+        # ~146 B/entry a per-entry [value, timestamp] list would add up
+        # to (~170 with a distinct timestamp float per entry).
+        label = QosLabel(hierarchy=("1:1", "1:10"))
+        keys = [(FiveTuple("10.0.0.1", "10.0.1.1", port, 5001), 0, "A")
+                for port in range(10_000)]
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = ExactMatchCache(capacity=len(keys))
+            for key in keys:
+                cache.put(key, label)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(cache) == len(keys)
+        assert retained / len(keys) < 120
+
 
 class TestExactMatchCacheExpiry:
-    """Idle-expiry accounting: get()-time, put()-time, and sweeps.
-
-    The bug this guards against: only get() noticed idle corpses, so a
-    churn workload (new flows displacing dead ones) pinned the cache at
-    capacity and booked every displacement as an *eviction* — capacity
-    pressure that wasn't real — while ``expirations`` stayed 0.
-    """
-
-    def test_get_expiry_counts_expiration(self):
-        cache = ExactMatchCache(capacity=4, idle_timeout=1.0)
-        cache.put("k", "v", now=0.0)
-        assert cache.get("k", now=2.0) is None
-        assert cache.expirations == 1
-        assert cache.evictions == 0
-        assert cache.misses == 1
-
-    def test_put_reclaims_expired_lru_head_as_expiration(self):
-        cache = ExactMatchCache(capacity=2, idle_timeout=1.0)
-        cache.put("dead", 1, now=0.0)
-        cache.put("live", 2, now=1.5)
-        # Full cache, LRU head idle-dead: the insert reclaims it as an
-        # expiration, not an eviction.
-        cache.put("new", 3, now=2.0)
-        assert cache.expirations == 1
-        assert cache.evictions == 0
-        assert cache.get("dead", now=2.0) is None
-        assert cache.get("live", now=2.0) == 2
-        assert cache.get("new", now=2.0) == 3
+    """The EMC has no idle expiry: an entry leaves only when a full
+    cache displaces it (an eviction), or by invalidate()/clear()."""
 
     def test_put_displacing_live_head_is_still_eviction(self):
-        cache = ExactMatchCache(capacity=2, idle_timeout=10.0)
-        cache.put("a", 1, now=0.0)
-        cache.put("b", 2, now=0.1)
-        cache.put("c", 3, now=0.2)  # all live: capacity pressure
+        cache = ExactMatchCache(capacity=2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        cache.put("c", 3)  # capacity pressure displaces the LRU head
         assert cache.evictions == 1
-        assert cache.expirations == 0
+        assert cache.get("a") is None
+        assert (cache.get("b"), cache.get("c")) == (2, 3)
 
     def test_put_without_timeout_never_expires(self):
         cache = ExactMatchCache(capacity=1)
-        cache.put("a", 1, now=0.0)
-        cache.put("b", 2, now=100.0)
+        cache.put("a", 1)
+        for _ in range(1_000):
+            assert cache.get("a") == 1
+        cache.put("b", 2)
         assert cache.evictions == 1
-        assert cache.expirations == 0
-
-    def test_expire_sweep_reclaims_only_idle_entries(self):
-        cache = ExactMatchCache(capacity=8, idle_timeout=1.0)
-        for i in range(4):
-            cache.put(f"old{i}", i, now=0.0)
-        for i in range(3):
-            cache.put(f"new{i}", i, now=5.0)
-        assert cache.expire(now=5.5) == 4
-        assert cache.expirations == 4
-        assert len(cache) == 3
-        assert cache.get("new0", now=5.5) == 0
-
-    def test_expire_sweep_disabled_without_timeout(self):
-        cache = ExactMatchCache(capacity=4)
-        cache.put("k", "v", now=0.0)
-        assert cache.expire(now=1e9) == 0
         assert len(cache) == 1
 
-    def test_refresh_on_hit_keeps_entry_alive_across_sweep(self):
-        cache = ExactMatchCache(capacity=4, idle_timeout=1.0)
-        cache.put("k", "v", now=0.0)
-        assert cache.get("k", now=0.9) == "v"  # refresh stamps now=0.9
-        assert cache.expire(now=1.5) == 0
-        assert cache.get("k", now=1.5) == "v"
-
-    def test_million_entry_churn_stays_bounded_and_books_expirations(self):
-        # Scale regression for the put()-time reclaim: one million
-        # distinct flows through a small cache with an idle timeout
-        # short enough that every resident entry is dead by the time
-        # its slot is reused. Before the fix this booked 10^6 - 64
-        # evictions (phantom capacity pressure) and zero expirations.
+    def test_million_entry_churn_stays_bounded_and_books_evictions(self):
+        # One million distinct flows through a small cache: the
+        # footprint stays at capacity and every displacement of a
+        # resident entry is booked as an eviction.
         capacity = 64
-        cache = ExactMatchCache(capacity=capacity, idle_timeout=1e-3)
+        cache = ExactMatchCache(capacity=capacity)
         n = 1_000_000
         for i in range(n):
-            cache.put(i, i, now=i * 1.0)  # successor insert: head long dead
+            cache.put(i, i)
         assert len(cache) == capacity
-        assert cache.expirations == n - capacity
-        assert cache.evictions == 0
-        # The sweep clears the final resident generation too.
-        assert cache.expire(now=n * 1.0 + 10.0) == capacity
+        assert cache.evictions == n - capacity
+        assert list(cache._entries) == list(range(n - capacity, n))
+        cache.clear()
         assert len(cache) == 0
-        assert cache.expirations == n
 
 
 class TestLabelingFunction:
     def test_hierarchy_path_is_root_to_leaf(self, frontend):
         packet = PacketFactory().make(64, FiveTuple("a", "b", 1, 2), 0.0, app="A")
-        label = frontend.labeler.label(packet, 0.0)
+        label = frontend.labeler.label(packet)
         assert label.hierarchy == ("1:1", "1:2", "1:10")
         assert label.borrow == ("1:20",)
 
     def test_second_packet_hits_cache(self, frontend):
         factory = PacketFactory()
         flow = FiveTuple("a", "b", 1, 2)
-        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"), 0.0)
+        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"))
         lookups_before = frontend.classifier.lookups
-        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"), 0.1)
+        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"))
         assert frontend.classifier.lookups == lookups_before  # slow path skipped
 
     def test_distinct_flows_distinct_entries(self, frontend):
         factory = PacketFactory()
-        frontend.labeler.label(factory.make(64, FiveTuple("a", "b", 1, 2), 0.0, app="A"), 0.0)
-        frontend.labeler.label(factory.make(64, FiveTuple("c", "d", 3, 4), 0.0, app="B"), 0.0)
+        frontend.labeler.label(factory.make(64, FiveTuple("a", "b", 1, 2), 0.0, app="A"))
+        frontend.labeler.label(factory.make(64, FiveTuple("c", "d", 3, 4), 0.0, app="B"))
+        assert len(frontend.labeler.cache) == 2
+
+    def test_apps_sharing_a_flow_get_their_own_labels(self, frontend):
+        # The filters match on app: one five-tuple and VF carrying two
+        # apps is two EMC entries, not the first app's label twice.
+        factory = PacketFactory()
+        flow = FiveTuple("a", "b", 1, 2)
+        label_a = frontend.labeler.label(factory.make(64, flow, 0.0, app="A"))
+        label_b = frontend.labeler.label(factory.make(64, flow, 0.0, app="B"))
+        assert (label_a.leaf, label_b.leaf) == ("1:10", "1:20")
         assert len(frontend.labeler.cache) == 2
 
     def test_unmatched_without_default_dropped(self, frontend):
         packet = PacketFactory().make(64, FiveTuple("a", "b", 1, 2), 0.0, app="Z")
-        assert frontend.labeler.label(packet, 0.0) is None
+        assert frontend.labeler.label(packet) is None
         assert packet.dropped
         assert frontend.labeler.unclassified_drops == 1
 
@@ -231,8 +209,8 @@ class TestLabelingFunction:
         )
         factory = PacketFactory()
         flow = FiveTuple("a", "b", 1, 2)
-        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"), 0.0)
-        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"), 0.0)
+        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"))
+        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"))
         assert frontend.classifier.lookups == 2  # every packet walks rules
         assert frontend.labeler.cache_hit_ratio == 0.0
 

@@ -29,7 +29,6 @@ def tallies(result):
         result.emc_hits,
         result.emc_misses,
         result.emc_evictions,
-        result.emc_expirations,
     )
 
 
@@ -193,7 +192,7 @@ def _classify_counts(fluid_classify):
     sim.run(until=DURATION * megaflow.DEFAULT_SETUP.scale * 1.02)
     cache = nic.app.labeler.cache
     counters = (
-        cache.hits, cache.misses, cache.evictions, cache.expirations, len(cache),
+        cache.hits, cache.misses, cache.evictions, len(cache),
         classifier.lookups, classifier.misses,
     )
     return counters, walks[0], walks[1] - lane.miss_absorbed, lane.miss_absorbed
@@ -207,7 +206,7 @@ def test_absorbed_miss_walks_the_rules_once():
     plain, plain_walks, _, plain_absorbed = _classify_counts(False)
     assert counters == plain
     assert absorbed > 1_000 and plain_absorbed == 0
-    lookups = counters[5]
+    lookups = counters[4]
     assert plain_walks == lookups
     # One walk per lookup, plus the real path's own walk for a packet
     # the lane pre-walked but then spilled.

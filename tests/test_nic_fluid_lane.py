@@ -201,6 +201,49 @@ class TestAbsorptionMechanics:
         assert nic.submitted == hotpath.SEED_PACKETS
 
 
+class TestEmcKey:
+    """The filters match on ``app``, so the EMC keys on it too: two
+    apps sending on one flow and VF are classified apart, on the lane's
+    label lookup and on the real path alike."""
+
+    @staticmethod
+    def _two_apps_one_flow(fluid):
+        setup = hotpath.DEFAULT_SETUP
+        sim = Simulator(seed=setup.seed)
+        frontend = FlowValveFrontend(
+            motivation_policy(setup.link_bps),
+            link_rate_bps=setup.link_bps,
+            params=setup.sched_params(),
+        )
+        sink = PacketSink(sim, rate_window=1.0, record_delays=False)
+        nic = NicPipeline.with_flowvalve(
+            sim, setup.nic_config(fluid=fluid), frontend, receiver=sink.receive
+        )
+        factory = PacketFactory()
+        for app in ("NC", "WS"):  # default vf_index and flow: shared
+            FixedRateSender(
+                sim, app, factory, nic.submit,
+                rate_bps=setup.sender_rate(), packet_size=1500,
+            )
+        sim.run(until=0.5)
+        tree = frontend.scheduler.tree
+        return {
+            "emc_entries": len(nic.app.labeler.cache),
+            "classifier_lookups": frontend.classifier.lookups,
+            "forwarded": {c: tree.node(c).forwarded_packets for c in ("1:10", "1:20")},
+            "delivered": sink.packets,
+            "dropped": nic.dropped,
+        }
+
+    def test_second_app_on_a_shared_flow_gets_its_own_class(self):
+        on = self._two_apps_one_flow(fluid=True)
+        assert on["emc_entries"] == 2
+        assert on["classifier_lookups"] == 2
+        assert on["forwarded"]["1:20"] > 0
+        assert on["delivered"]["WS"] > 0
+        assert on == self._two_apps_one_flow(fluid=False)
+
+
 class TestIngressTrainMemory:
     """A train merged into the shared ingress run costs the kernel one
     cursor: the retained bytes do not grow with the train's length."""
