@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import sys
 from typing import Any, Dict, List
 
@@ -275,6 +276,12 @@ def _parse_apps(specs: List[str]) -> Dict[str, float]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    # argparse's float() accepts "nan" and "inf", which would hang the
+    # simulation loops or report a meaningless run.
+    for flag, value in (("--scale", args.scale), ("--duration", args.duration),
+                        ("--wire-delay", args.wire_delay)):
+        if not math.isfinite(value):
+            raise ReproError(f"{flag} must be finite, got {value}")
     if args.scale <= 0:
         raise ReproError(f"--scale must be positive, got {args.scale}")
     for flag, value in (("--packet-size", args.packet_size),
@@ -510,9 +517,7 @@ def _cmd_simulate_workload(args: argparse.Namespace, policy, link: float, demand
     )
     nic = NicPipeline.with_flowvalve(
         sim,
-        setup.nic_config(
-            fluid=not args.no_fluid, fluid_classify=not args.no_fluid
-        ),
+        setup.nic_config(fluid=not args.no_fluid),
         frontend,
         receiver=sink.receive,
     )

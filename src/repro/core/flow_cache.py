@@ -9,8 +9,7 @@ runs on a flow's first packet.
 
 The cache is bounded with LRU eviction, so a long experiment with flow
 churn stays at a fixed footprint. An entry is the cached value itself:
-entries leave only by eviction, :meth:`ExactMatchCache.invalidate` or
-:meth:`ExactMatchCache.clear`, never by age.
+entries leave only by eviction, never by age.
 """
 
 from __future__ import annotations
@@ -53,10 +52,6 @@ class PathCache:
         self.entries[label] = path
         self.misses += 1
         return path
-
-    def clear(self) -> None:
-        """Drop everything (tree reconfiguration)."""
-        self.entries.clear()
 
 
 class ExactMatchCache(Generic[V]):
@@ -107,15 +102,6 @@ class ExactMatchCache(Generic[V]):
             entries.popitem(last=False)
             self.evictions += 1
         entries[key] = value
-
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop one entry; True if it existed. Policy changes call
-        :meth:`clear` instead — labels derive from the filter table."""
-        return self._entries.pop(key, None) is not None
-
-    def clear(self) -> None:
-        """Drop everything (policy reconfiguration)."""
-        self._entries.clear()
 
     @property
     def hit_ratio(self) -> float:

@@ -32,7 +32,6 @@ class FlowValveFrontend:
     link_rate_bps: physical line rate; supplies the root rate when the
         policy doesn't set one and caps everything else.
     params: scheduling function tunables.
-    cache_size: exact-match flow cache capacity (0 disables).
     """
 
     def __init__(
@@ -40,7 +39,6 @@ class FlowValveFrontend:
         policy: PolicyConfig,
         link_rate_bps: Optional[float] = None,
         params: Optional[SchedulingParams] = None,
-        cache_size: int = 65536,
     ):
         validate_policy(policy)
         self.policy = policy
@@ -48,9 +46,7 @@ class FlowValveFrontend:
         self.tree = SchedulingTree.from_policy(policy, link_rate_bps, params)
         self.classifier = Classifier(policy.filters)
         default_leaf = self._default_leaf_id()
-        self.labeler = LabelingFunction(
-            self.tree, self.classifier, default_leaf=default_leaf, cache_size=cache_size
-        )
+        self.labeler = LabelingFunction(self.tree, self.classifier, default_leaf=default_leaf)
         self.scheduler = SchedulingFunction(self.tree)
 
     def attach_observability(self, tracer=None, metrics=None) -> None:
@@ -69,10 +65,9 @@ class FlowValveFrontend:
         script: str,
         link_rate_bps: Optional[float] = None,
         params: Optional[SchedulingParams] = None,
-        cache_size: int = 65536,
     ) -> "FlowValveFrontend":
         """Parse an ``fv`` script and build the front end from it."""
-        return cls(parse_script(script), link_rate_bps, params, cache_size)
+        return cls(parse_script(script), link_rate_bps, params)
 
     # ------------------------------------------------------------------
     def _default_leaf_id(self) -> Optional[str]:

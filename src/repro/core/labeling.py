@@ -35,8 +35,6 @@ class LabelingFunction:
     default_leaf: leaf class id for unmatched packets (from the root
         qdisc's ``default`` option); ``None`` means unmatched packets
         are dropped.
-    cache_size: EMC capacity; 0 disables caching (every packet walks
-        the rules — the "kernel-sized" slow path of Observation 2).
     """
 
     def __init__(
@@ -44,14 +42,12 @@ class LabelingFunction:
         tree: SchedulingTree,
         classifier: Classifier,
         default_leaf: Optional[str] = None,
-        cache_size: int = 65536,
     ):
         self.tree = tree
         self.classifier = classifier
         self.default_leaf = default_leaf
-        self.cache: Optional[ExactMatchCache[QosLabel]] = (
-            ExactMatchCache(cache_size) if cache_size > 0 else None
-        )
+        #: The EMC (Observation 2), at its default capacity.
+        self.cache: ExactMatchCache[QosLabel] = ExactMatchCache()
         #: Precomputed label per leaf class id.
         self._labels: Dict[str, QosLabel] = {}
         for leaf in tree.leaves():
@@ -82,11 +78,10 @@ class LabelingFunction:
         # Every field a filter can match: a flow's packets from two
         # apps on one VF are two entries.
         key = (packet.flow, packet.vf_index, packet.app)
-        if cache is not None:
-            cached = cache.get(key)
-            if cached is not None:
-                cached.apply_to(packet)
-                return cached
+        cached = cache.get(key)
+        if cached is not None:
+            cached.apply_to(packet)
+            return cached
         if matched is _UNWALKED:
             leaf_id = self.classifier.classify(packet)
         else:
@@ -98,12 +93,11 @@ class LabelingFunction:
             packet.mark_dropped(DropReason.UNCLASSIFIED)
             return None
         label = self.label_for_leaf(leaf_id)
-        if cache is not None:
-            cache.put(key, label)
+        cache.put(key, label)
         label.apply_to(packet)
         return label
 
     @property
     def cache_hit_ratio(self) -> float:
-        """EMC hit ratio (0.0 when caching is disabled)."""
-        return self.cache.hit_ratio if self.cache is not None else 0.0
+        """EMC hit ratio (0.0 before any lookup)."""
+        return self.cache.hit_ratio

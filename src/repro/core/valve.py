@@ -37,9 +37,8 @@ class FlowValve:
         policy: PolicyConfig,
         link_rate_bps: Optional[float] = None,
         params: Optional[SchedulingParams] = None,
-        cache_size: int = 65536,
     ):
-        self.frontend = FlowValveFrontend(policy, link_rate_bps, params, cache_size)
+        self.frontend = FlowValveFrontend(policy, link_rate_bps, params)
 
     @classmethod
     def from_script(
@@ -47,12 +46,11 @@ class FlowValve:
         script: str,
         link_rate_bps: Optional[float] = None,
         params: Optional[SchedulingParams] = None,
-        cache_size: int = 65536,
     ) -> "FlowValve":
         """Build a valve from ``fv`` commands (see §III-E)."""
         from ..tc.parser import parse_script
 
-        return cls(parse_script(script), link_rate_bps, params, cache_size)
+        return cls(parse_script(script), link_rate_bps, params)
 
     # convenient aliases -------------------------------------------------
     @property

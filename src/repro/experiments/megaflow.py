@@ -10,8 +10,8 @@ mechanisms this experiment exists to measure together:
 
 * the windowed trace generator (one train per horizon window, no
   per-flow simulation state),
-* the fluid lane's classification replay (``fluid_classify=True`` —
-  an EMC miss absorbs analytically instead of suspending the lane),
+* the fluid lane's classification replay (an EMC miss absorbs
+  analytically instead of suspending the lane),
 * constant-memory streaming stats (sketch-mode sink, ledger-folded
   workload tallies, bounded LRU cache churn).
 
@@ -149,16 +149,15 @@ def build(
     duration: float = DEFAULT_DURATION,
     mode: str = "batched",
     fluid: Optional[bool] = None,
-    fluid_classify: bool = True,
     stats_mode: str = "sketch",
     mix: Tuple[Tuple[str, str, float], ...] = DEFAULT_MIX,
 ) -> Tuple[Simulator, NicPipeline, PacketSink, List[TraceWorkload]]:
     """Assemble the megaflow trace workload on the DES pipeline.
 
     *duration* is in nominal seconds (flow arrivals stop there; the
-    run horizon adds a small drain margin). *mode*, *fluid*,
-    *fluid_classify* and *stats_mode* exist so the equivalence tests
-    can pin every engine combination to identical outcomes.
+    run horizon adds a small drain margin). *mode*, *fluid* and
+    *stats_mode* exist so the equivalence tests can pin every engine
+    combination to identical outcomes.
     """
     setup = setup if setup is not None else DEFAULT_SETUP
     policy = motivation_policy(setup.link_bps)
@@ -176,9 +175,7 @@ def build(
         # PacketSink docstring.
         fold_interval=1.0,
     )
-    overrides: Dict[str, object] = {"fluid_classify": fluid_classify}
-    if fluid is not None:
-        overrides["fluid"] = fluid
+    overrides = {} if fluid is None else {"fluid": fluid}
     nic = NicPipeline.with_flowvalve(
         sim, setup.nic_config(**overrides), frontend, receiver=sink.receive
     )
@@ -211,7 +208,6 @@ def run(
     duration: float = DEFAULT_DURATION,
     mode: str = "batched",
     fluid: Optional[bool] = None,
-    fluid_classify: bool = True,
     stats_mode: str = "sketch",
 ) -> MegaflowResult:
     """Measure the megaflow trace run end to end."""
@@ -221,7 +217,6 @@ def run(
         duration=duration,
         mode=mode,
         fluid=fluid,
-        fluid_classify=fluid_classify,
         stats_mode=stats_mode,
     )
     horizon = duration * setup.scale * 1.02

@@ -148,11 +148,11 @@ class FlowValveNicApp(NicApp):
         # --- labeling function ---------------------------------------
         labeler = self.labeler
         cache = labeler.cache
-        hits_before = cache.hits if cache is not None else 0
+        hits_before = cache.hits
         label = labeler.label(packet)
         if label is None:
             return Verdict.DROP
-        if cache is not None and cache.hits > hits_before:
+        if cache.hits > hits_before:
             yield cycles(costs.emc_hit)
         else:
             yield cycles(
@@ -261,14 +261,14 @@ class FlowValveNicApp(NicApp):
         # --- labeling function, at virtual time now+fixed_overhead ----
         labeler = self.labeler
         cache = labeler.cache
-        hits_before = cache.hits if cache is not None else 0
+        hits_before = cache.hits
         t = sim._now + cycles(costs.fixed_overhead)
         label = labeler.label(packet)
         if label is None:
             # The worker still pays the fixed overhead before dropping.
             yield At(t)
             return Verdict.DROP
-        if cache is not None and cache.hits > hits_before:
+        if cache.hits > hits_before:
             t += cycles(costs.emc_hit)
         else:
             t += cycles(

@@ -87,8 +87,6 @@ class NicConfig:
     buffer_count: int = 4096
     #: Delay for the manager core to re-link a freed buffer.
     buffer_recycle_delay: float = 2e-6
-    #: Whether the reorder system is enabled (it is on real NFPs).
-    reorder_enabled: bool = True
     #: Update-lock discipline: "trylock" (FlowValve's design),
     #: "per_class_block" (Fig. 7c), "global_block" (naive offload),
     #: "sequential" (Fig. 7b: one worker does all scheduling).
@@ -107,27 +105,17 @@ class NicConfig:
     #: either way.
     ingress_burst: int = 64
     #: Allow the fluid fast-forward lane (DESIGN.md §7): packets of
-    #: quiescent flows — cache-hit label, no update due on the path,
-    #: no competing update in flight — are carried to their scheduling
-    #: decision analytically through a deferred micro-queue instead of
-    #: a worker wakeup chain, materialising zero kernel events until a
-    #: boundary (update epoch, cache churn, run horizon) trips the
-    #: detector. Bit-identical to the per-packet path; auto-disabled
-    #: with tracing/metrics, the slow path, drop callbacks, or an
-    #: eventful sink. Set False to force per-packet processing.
+    #: quiescent flows — no update due on the path, no competing
+    #: update in flight — are carried to their scheduling decision
+    #: analytically through a deferred micro-queue instead of a worker
+    #: wakeup chain, materialising zero kernel events until a boundary
+    #: (update epoch, run horizon) trips the detector. An EMC miss is
+    #: absorbed by replaying the classifier walk at its virtual time
+    #: (DESIGN.md §12). Bit-identical to the per-packet path;
+    #: auto-disabled with tracing/metrics, the slow path, drop
+    #: callbacks, or an eventful sink. Set False to force per-packet
+    #: processing.
     fluid: bool = True
-    #: Allow the fluid lane to absorb EMC-*miss* packets too, by
-    #: replaying the classification walk (rule match, cache insert,
-    #: miss-path cycle cost) analytically at its virtual time — the
-    #: same states and timestamps the trylock fast handler produces,
-    #: so outcomes stay bit-identical to the per-packet path. Off by
-    #: default: absorption decisions change which packets ride the
-    #: lane, which changes *kernel event counts* (never results), and
-    #: the recorded hot-path/fabric budgets pin the default lane.
-    #: Million-flow trace runs turn this on — every flow's first
-    #: packet is an EMC miss, and a spill per flow suspends the lane
-    #: (DESIGN.md §12).
-    fluid_classify: bool = False
     #: Per-operation cycle budgets.
     costs: CycleCosts = field(default_factory=CycleCosts)
     #: Memory hierarchy (documentation + latency-hiding math).

@@ -2,12 +2,12 @@
 
 The batched ingress/egress fast paths still execute one merged worker
 wakeup per packet. This lane removes that last kernel event for the
-common case: a *quiescent* flow — EMC hit, resolved path, every class
-on the path provably skip-only at the packet's walk time, and the
-whole worst-case decision inside the run horizon. For such a packet
-the entire remaining trajectory of the fast handler
-(:meth:`FlowValveNicApp.handle_fast`, elided branch) is determined at
-arrival: the merged wakeup time ``t2``, the meter outcome against a
+common case: a *quiescent* flow — a label from the EMC or from a
+replayed classifier walk, every class on the path provably skip-only
+at the packet's walk time, and the whole worst-case decision inside
+the run horizon. For such a packet the entire remaining trajectory of
+the fast handler (:meth:`FlowValveNicApp.handle_fast`, elided branch)
+is determined at arrival: the merged wakeup time ``t2``, the meter outcome against a
 closed-form token balance, and (on red) the borrow walk's bounded
 yield chain.
 
@@ -151,10 +151,6 @@ class FluidLane:
         #: the topology builder sets it to the spec duration before the
         #: pipeline is constructed).
         self._carry = sim.carry_horizon
-        #: Absorb EMC-miss packets by replaying the classification walk
-        #: analytically (config.fluid_classify — the million-flow trace
-        #: regime, where every flow's first packet misses).
-        self._absorb_miss = pipeline.config.fluid_classify
         #: cyc(emc_hit + classify_per_rule * max(1, n_rules)) — the
         #: miss-path labeling cost; resolved lazily (rule count is
         #: fixed after policy install).
@@ -176,13 +172,14 @@ class FluidLane:
         #: the per-class params of the quiescence test, prefetched once
         #: (SchedulingParams never change after tree construction). The
         #: stored path is identity-checked against the scheduler's
-        #: path cache on every hit, so a cache rebuild invalidates it.
+        #: path cache on every hit: a replayed miss prefetches a fresh
+        #: pure resolve, and the commit then memoises another list.
         self._path_meta: dict = {}
         # --- statistics -------------------------------------------------
         #: Packets absorbed by the lane (no worker wakeup).
         self.absorbed = 0
         #: Of those, EMC misses absorbed via the analytic classify
-        #: replay (0 unless ``fluid_classify`` is on).
+        #: replay.
         self.miss_absorbed = 0
         #: Packets that failed eligibility and took the real path.
         self.spills = 0
@@ -320,21 +317,20 @@ class FluidLane:
         """Absorb *packet* if its whole decision is determined; returns
         False (no state touched) when it must take the real path.
 
-        The one quiescence gate, for EMC hits and — with
-        ``config.fluid_classify`` — replayed EMC misses alike. The
-        read-only checks mirror the elided branch of ``handle_fast``
-        term for term; the mutations that follow replicate the
-        worker's pre-yield effects in the worker's exact order (ticket,
-        labeling, early path touch, skip counting) with the same float
-        expressions. A hit and a miss differ only in where the label
-        comes from (the EMC entry, or :meth:`_try_fluid_miss`'s rule
-        walk), the walk cost charged before the scheduling walk
-        (``emc_hit``, or ``_c_miss``), and the labeling commit: a hit
-        replays ``ExactMatchCache.get``'s bookkeeping and stamps the
-        label; a miss runs the real, counted ``labeler.label`` — cache
-        get-miss, the classifier's counters for the pre-walk's match,
-        insert with its eviction — and memoises the path through
-        the real ``PathCache``. So outcomes
+        The one quiescence gate, for EMC hits and replayed EMC misses
+        alike. The read-only checks mirror the elided branch of
+        ``handle_fast`` term for term; the mutations that follow
+        replicate the worker's pre-yield effects in the worker's exact
+        order (ticket, labeling, early path touch, skip counting) with
+        the same float expressions. A hit and a miss differ only in
+        where the label comes from (the EMC entry, or
+        :meth:`_try_fluid_miss`'s rule walk), the walk cost charged
+        before the scheduling walk (``emc_hit``, or ``_c_miss``), and
+        the labeling commit: a hit replays ``ExactMatchCache.get``'s
+        bookkeeping and stamps the label; a miss runs the real, counted
+        ``labeler.label`` — cache get-miss, the classifier's counters
+        for the pre-walk's match, insert with its eviction — and
+        memoises the path through the real ``PathCache``. So outcomes
         are bit-identical to the per-packet path; only the kernel-event
         count differs.
         """
@@ -346,8 +342,6 @@ class FluidLane:
             # packet behind the dispatch backlog.
             return False
         cache = self._labeler.cache
-        if cache is None:
-            return False
         # Label time: arrival + fixed overhead (handle_fast's ``t``).
         t = now + self._c_label
         entries = cache._entries
@@ -357,7 +351,7 @@ class FluidLane:
         hit = label is not None
         if hit:
             t_walk = t + self._c_emc
-        elif self._absorb_miss:
+        else:
             # EMC miss: replay the classifier walk analytically.
             walked = self._try_fluid_miss(packet)
             if walked is None:
@@ -371,8 +365,6 @@ class FluidLane:
                     + costs.classify_per_rule * max(1, len(self._labeler.classifier))
                 )
             t_walk = t + c_miss
-        else:
-            return False  # the classifier walk is slow-path
         scheduler = self._scheduler
         hierarchy = label.hierarchy
         path = scheduler.path_cache.entries.get(hierarchy)
@@ -428,12 +420,9 @@ class FluidLane:
                 # whose chain would outrun the horizon.
                 return False
         # --- absorbed: the worker's pre-yield effects -----------------
-        reorder = self._reorder
-        if reorder is not None:  # inlined ReorderBuffer.take_ticket
-            ticket = reorder._next_ticket
-            reorder._next_ticket = ticket + 1
-        else:
-            ticket = -1
+        reorder = self._reorder  # inlined ReorderBuffer.take_ticket
+        ticket = reorder._next_ticket
+        reorder._next_ticket = ticket + 1
         if hit:
             entries.move_to_end(key)
             cache.hits += 1
@@ -673,13 +662,10 @@ class FluidLane:
             stats.borrow_matrix[bkey] = stats.borrow_matrix.get(bkey, 0) + 1
         stats.decisions += 1
         reorder = self._reorder
-        if reorder is None:
-            self._egress(tv, (packet,), True)
-        else:
-            lone = not reorder._pending
-            run = reorder.release(job.ticket, packet)
-            if run:
-                self._egress(tv, run, lone)
+        lone = not reorder._pending
+        run = reorder.release(job.ticket, packet)
+        if run:
+            self._egress(tv, run, lone)
         # The job is done: its conceptual worker takes queued work.
         self._live -= 1
         dispatch = self._dispatch
@@ -693,12 +679,10 @@ class FluidLane:
         packet = job.packet
         packet.dropped = True  # inlined mark_dropped(SCHED_RED)
         packet.drop_reason = DropReason.SCHED_RED
-        reorder = self._reorder
-        if reorder is not None:
-            # The freed slot may unpark a run queued behind it.
-            run = reorder.release(job.ticket, None)
-            if run:
-                self._egress(tv, run, False)
+        # The freed slot may unpark a run queued behind it.
+        run = self._reorder.release(job.ticket, None)
+        if run:
+            self._egress(tv, run, False)
         # Inlined NicPipeline._drop (no tracer, no drop counters, no
         # on_drop under the fluid construction guard): count the
         # discard and return the buffer lazily at the drop's virtual

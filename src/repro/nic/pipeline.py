@@ -170,14 +170,10 @@ class NicPipeline:
         )
         self.dispatch = Store(sim, capacity=config.dispatch_depth, name="nic-dispatch")
         self.buffers = BufferPool(sim, config.buffer_count, config.buffer_recycle_delay)
-        emit = self._emit_to_tx_fast if fast else self._emit_to_tx
-        self._emit = emit
-        self.reorder = None
-        if config.reorder_enabled:
-            self.reorder = ReorderBuffer(
-                emit, sim=sim,
-                emit_burst=self._emit_burst if fast else None,
-            )
+        self.reorder = ReorderBuffer(
+            self._emit_to_tx_fast if fast else self._emit_to_tx, sim=sim,
+            emit_burst=self._emit_burst if fast else None,
+        )
         # --- statistics ------------------------------------------------
         self._submitted = 0
         self._ingress_trains: List[_IngressTrain] = []
@@ -200,10 +196,9 @@ class NicPipeline:
             metrics.probe("nic.tx_ring.max_occupancy", lambda: self.tx_ring.max_occupancy)
             metrics.probe("nic.buffers.free", lambda: self.buffers.free)
             metrics.probe("nic.buffers.min_free", lambda: self.buffers.min_free)
-            if self.reorder is not None:
-                metrics.probe("nic.reorder.in_flight", lambda: self.reorder.in_flight)
-                metrics.probe("nic.reorder.parked", lambda: self.reorder.parked)
-                metrics.probe("nic.reorder.max_parked", lambda: self.reorder.max_parked)
+            metrics.probe("nic.reorder.in_flight", lambda: self.reorder.in_flight)
+            metrics.probe("nic.reorder.parked", lambda: self.reorder.parked)
+            metrics.probe("nic.reorder.max_parked", lambda: self.reorder.max_parked)
             self._drop_counters = {
                 reason: metrics.counter(f"nic.drops.{reason.value}") for reason in DropReason
             }
@@ -439,7 +434,6 @@ class NicPipeline:
         dispatch_get = self.dispatch.get
         reorder = self.reorder
         handle = self.app.handle
-        emit = self._emit
         drop = self._drop
         fixed_overhead = self.config.seconds(self.config.costs.fixed_overhead)
         forward = Verdict.FORWARD
@@ -447,7 +441,7 @@ class NicPipeline:
         sim = self.sim
         while True:
             packet: Packet = yield dispatch_get()
-            ticket = reorder.take_ticket() if reorder is not None else -1
+            ticket = reorder.take_ticket()
             yield fixed_overhead
             verdict = yield from handle(packet)
             if trace is not None:
@@ -457,13 +451,9 @@ class NicPipeline:
                     app=packet.app, size=packet.size,
                 )
             if verdict is forward:
-                if reorder is not None:
-                    reorder.complete(ticket, packet)
-                else:
-                    emit(packet)
+                reorder.complete(ticket, packet)
             else:
-                if reorder is not None:
-                    reorder.complete(ticket, None)
+                reorder.complete(ticket, None)
                 reason = packet.drop_reason if packet.drop_reason is not None else DropReason.SCHED_RED
                 drop(packet, reason, already_marked=True)
 
@@ -481,22 +471,17 @@ class NicPipeline:
         try_get = self.dispatch.try_get
         reorder = self.reorder
         handle = self._fast_handle
-        emit = self._emit
         drop = self._drop
         forward = Verdict.FORWARD
         while True:
             packet: Packet = yield dispatch_get()
             while True:
-                ticket = reorder.take_ticket() if reorder is not None else -1
+                ticket = reorder.take_ticket()
                 verdict = yield from handle(packet)
                 if verdict is forward:
-                    if reorder is not None:
-                        reorder.complete(ticket, packet)
-                    else:
-                        emit(packet)
+                    reorder.complete(ticket, packet)
                 else:
-                    if reorder is not None:
-                        reorder.complete(ticket, None)
+                    reorder.complete(ticket, None)
                     reason = packet.drop_reason if packet.drop_reason is not None else DropReason.SCHED_RED
                     drop(packet, reason, already_marked=True)
                 packet = try_get()

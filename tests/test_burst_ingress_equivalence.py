@@ -315,9 +315,7 @@ def _merged_trains():
     ]
 
 
-def _run_merged_trains(
-    trains, *, fluid: bool, trained: bool, fluid_classify: bool = False, record=None
-) -> dict:
+def _run_merged_trains(trains, *, fluid: bool, trained: bool, record=None) -> dict:
     """Run *trains* (``(kind, app, vf_index, times, flows, sizes)``
     tuples, as :func:`_merged_trains` returns): as trains handed to
     ``submit_trace``/``submit_burst`` (*trained*), or as one ``submit``
@@ -332,7 +330,7 @@ def _run_merged_trains(
         params=setup.sched_params(),
     )
     sink = PacketSink(sim, rate_window=1.0, record_delays=True)
-    config = replace(setup.nic_config(), fluid=fluid, fluid_classify=fluid_classify)
+    config = replace(setup.nic_config(), fluid=fluid)
     nic = NicPipeline.with_flowvalve(sim, config, frontend, receiver=sink.receive)
     assert (nic._fluid is not None) == fluid
     factory = PacketFactory()
@@ -411,8 +409,8 @@ def _train_flow(vf: int, k: int) -> FiveTuple:
 
 
 #: Two KVS burst trains of one flow each. The second starts once the
-#: first has made the class active, so with ``fluid_classify`` on the
-#: lane absorbs its first packet's EMC miss by the classify replay.
+#: first has made the class active, so the fluid lane absorbs its
+#: first packet's EMC miss by the classify replay.
 _BURST_MISS_TRAINS = [
     ("burst", "KVS", 2, [k * (_G / 2) for k in range(1, 11)],
      [_train_flow(2, 1)] * 10, [700] * 10),
@@ -448,8 +446,7 @@ def _generated_trains(draw):
 class TestGeneratedTrains:
     """Differential check over generated trains: trained ingress
     (``submit_burst``/``submit_trace``) against per-packet ``submit``,
-    with the fluid lane on and off and its classify replay
-    (``fluid_classify``) on and off — every observable, delays
+    with the fluid lane on and off — every observable, delays
     included, must match; only the kernel-event count may differ."""
 
     @settings(max_examples=150, deadline=None)
@@ -457,15 +454,13 @@ class TestGeneratedTrains:
     @example(trains=_BURST_MISS_TRAINS)
     def test_trained_matches_per_packet_submit(self, trains):
         runs = {
-            (fluid, fluid_classify, trained): _run_merged_trains(
-                trains, fluid=fluid, trained=trained, fluid_classify=fluid_classify
-            )
-            for fluid, fluid_classify in ((True, True), (True, False), (False, False))
+            (fluid, trained): _run_merged_trains(trains, fluid=fluid, trained=trained)
+            for fluid in (True, False)
             for trained in (True, False)
         }
         for run in runs.values():
             del run["events"]
-        reference = runs[False, False, False]
+        reference = runs[False, False]
         for variant, run in runs.items():
             assert run == reference, variant
         assert reference["created"] == sum(len(train[3]) for train in trains)

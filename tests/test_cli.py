@@ -159,6 +159,19 @@ class TestSimulate:
         expected = "must be positive" if flag == "--link" else "must be at least 1"
         assert f"fv: error: {flag} {expected}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--scale", "--duration", "--wire-delay"])
+    def test_rejects_non_finite_floats(self, policy_file, capsys, flag, value):
+        # argparse's float() accepts both. Unchecked, a non-finite
+        # duration never ends a run loop, and a non-finite scale or
+        # wire delay runs a meaningless simulation or raises.
+        code = main([
+            "simulate", policy_file, "--link", "10mbit",
+            "--app", "A=1mbit", "--duration", "1", flag, value,
+        ])
+        assert code == 1
+        assert f"fv: error: {flag} must be finite" in capsys.readouterr().err
+
     def test_zero_rate_app_reports_nothing_achieved(self, policy_file, capsys):
         code = main([
             "simulate", policy_file, "--link", "10mbit",

@@ -75,18 +75,6 @@ class TestExactMatchCache:
         assert cache.get("a") == 1
         assert cache.evictions == 1
 
-    def test_clear(self):
-        cache = ExactMatchCache(capacity=4)
-        cache.put("k", "v")
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_invalidate(self):
-        cache = ExactMatchCache(capacity=4)
-        cache.put("k", "v")
-        assert cache.invalidate("k")
-        assert not cache.invalidate("k")
-
     def test_zero_capacity_rejected(self):
         with pytest.raises(CapacityError):
             ExactMatchCache(capacity=0)
@@ -124,7 +112,7 @@ class TestExactMatchCache:
 
 class TestExactMatchCacheExpiry:
     """The EMC has no idle expiry: an entry leaves only when a full
-    cache displaces it (an eviction), or by invalidate()/clear()."""
+    cache displaces it (an eviction)."""
 
     def test_put_displacing_live_head_is_still_eviction(self):
         cache = ExactMatchCache(capacity=2)
@@ -156,8 +144,6 @@ class TestExactMatchCacheExpiry:
         assert len(cache) == capacity
         assert cache.evictions == n - capacity
         assert list(cache._entries) == list(range(n - capacity, n))
-        cache.clear()
-        assert len(cache) == 0
 
 
 class TestLabelingFunction:
@@ -200,19 +186,6 @@ class TestLabelingFunction:
     def test_label_for_unknown_leaf_raises(self, frontend):
         with pytest.raises(UnknownClassError):
             frontend.labeler.label_for_leaf("9:99")
-
-    def test_cache_disabled(self):
-        frontend = FlowValveFrontend.from_script(
-            SCRIPT, link_rate_bps=10e6,
-            params=SchedulingParams(update_interval=0.1, expire_after=1.0),
-            cache_size=0,
-        )
-        factory = PacketFactory()
-        flow = FiveTuple("a", "b", 1, 2)
-        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"))
-        frontend.labeler.label(factory.make(64, flow, 0.0, app="A"))
-        assert frontend.classifier.lookups == 2  # every packet walks rules
-        assert frontend.labeler.cache_hit_ratio == 0.0
 
 
 class TestFrontend:

@@ -50,16 +50,9 @@ class TestEngineEquivalence:
         off = megaflow.run(duration=DURATION, fluid=False)
         assert tallies(off) == tallies(batched)
         assert (off.absorbed, off.miss_absorbed) == (0, 0)
-        assert batched.perf.events < off.perf.events
-
-    def test_classify_replay_absorbs_first_packets(self, batched):
-        """fluid_classify lets the lane absorb EMC-miss packets; with
-        it off every flow's first packet spills to the slow path."""
-        plain = megaflow.run(duration=DURATION, fluid_classify=False)
-        assert tallies(plain) == tallies(batched)
+        # The lane absorbs flows' first packets by the classify replay.
         assert batched.miss_absorbed > 0
-        assert plain.miss_absorbed == 0
-        assert batched.perf.events < plain.perf.events
+        assert batched.perf.events < off.perf.events
 
     def test_exact_stats_agree_with_sketch(self, batched):
         exact = megaflow.run(duration=DURATION, stats_mode="exact")
@@ -169,39 +162,44 @@ def test_golden_run(seed):
     assert observed == GOLDEN[seed]
 
 
-def _classify_counts(fluid_classify):
+def _classify_counts(fluid):
     """Run the short megaflow trace counting rule walks; returns the
-    counters and the number of pre-walks that did not absorb."""
-    sim, nic, _sink, _ = megaflow.build(duration=DURATION, fluid_classify=fluid_classify)
+    counters, the walks, and the lane's pre-walks that did not absorb
+    and those that did (both 0 with the lane off)."""
+    sim, nic, _sink, _ = megaflow.build(duration=DURATION, fluid=fluid)
     classifier = nic.app.labeler.classifier
     lane = nic._fluid
     walks = [0, 0]  # first_match calls, lane pre-walks
     first_match = classifier.first_match
-    prewalk = lane._try_fluid_miss
 
     def counted_first_match(packet):
         walks[0] += 1
         return first_match(packet)
 
-    def counted_prewalk(packet):
-        walks[1] += 1
-        return prewalk(packet)
-
     classifier.first_match = counted_first_match
-    lane._try_fluid_miss = counted_prewalk
+    if lane is not None:
+        prewalk = lane._try_fluid_miss
+
+        def counted_prewalk(packet):
+            walks[1] += 1
+            return prewalk(packet)
+
+        lane._try_fluid_miss = counted_prewalk
     sim.run(until=DURATION * megaflow.DEFAULT_SETUP.scale * 1.02)
     cache = nic.app.labeler.cache
     counters = (
         cache.hits, cache.misses, cache.evictions, len(cache),
         classifier.lookups, classifier.misses,
     )
-    return counters, walks[0], walks[1] - lane.miss_absorbed, lane.miss_absorbed
+    absorbed = lane.miss_absorbed if lane is not None else 0
+    return counters, walks[0], walks[1] - absorbed, absorbed
 
 
 def test_absorbed_miss_walks_the_rules_once():
     """An absorbed EMC miss walks the classifier once: the counted
     commit reuses the lane's pre-walk. Every cache and classifier
-    counter matches the run without classification replay."""
+    counter matches the run with the fluid lane off, where the
+    per-packet path walks the rules once per lookup."""
     counters, walks, unabsorbed_prewalks, absorbed = _classify_counts(True)
     plain, plain_walks, _, plain_absorbed = _classify_counts(False)
     assert counters == plain

@@ -131,15 +131,6 @@ class TestDegenerateConfigs:
         with pytest.raises(ConfigError):
             NicConfig(line_rate_bps=-1)
 
-    def test_reorder_disabled_still_delivers(self):
-        sim = Simulator(seed=1)
-        cfg = NicConfig(reorder_enabled=False)
-        sink = PacketSink(sim, record_delays=False)
-        nic = NicPipeline(sim, cfg, ForwardAllApp(), receiver=sink.receive)
-        blast(sim, nic, pps=1e6, duration=0.002)
-        sim.run(until=0.003)
-        assert sink.total_packets == nic.submitted
-
     def test_min_size_packets_survive_the_pipeline(self):
         sim = Simulator(seed=1)
         frontend = FlowValveFrontend.from_script(

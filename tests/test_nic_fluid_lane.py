@@ -11,6 +11,7 @@ docs quote.
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -257,6 +258,10 @@ class TestIngressTrainMemory:
         flows = [_FLOW] * n
         sizes = [1500] * n
         make = PacketFactory().make
+        # A full collection empties CPython's tuple/float/list free
+        # lists, so what the merge allocates does not depend on what
+        # earlier tests left in them.
+        gc.collect()
         tracemalloc.start()
         try:
             nic.submit_trace(make, times, flows, sizes, "NC", 0)
