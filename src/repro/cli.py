@@ -628,11 +628,24 @@ def _split_grid_values(text: str) -> List[str]:
 
 
 def _coerce_value(text: str) -> Any:
-    """Best-effort literal parse (ints, floats, lists, strings)."""
+    """Best-effort literal parse (ints, floats, lists, strings).
+    ``nan`` and ``inf`` are no Python literals but read as floats, so
+    the finiteness check sees them."""
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
+        pass
+    try:
+        return float(text)
+    except ValueError:
         return text
+
+
+def _non_finite(value: Any) -> bool:
+    """Whether *value* is, or holds, a NaN or infinite float."""
+    if isinstance(value, (list, tuple)):
+        return any(_non_finite(item) for item in value)
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 def _parse_set_overrides(flags: List[str]) -> Dict[str, List[Any]]:
@@ -649,6 +662,9 @@ def _parse_set_overrides(flags: List[str]) -> Dict[str, List[Any]]:
             raise SystemExit(
                 f"fv campaign: error: --set {key}= names no values"
             )
+        for value in values:
+            if _non_finite(value):
+                raise ReproError(f"--set {key} must be finite, got {value}")
         if key in overrides:
             raise SystemExit(
                 f"fv campaign: error: duplicate --set axis {key!r}"
@@ -668,7 +684,12 @@ def _campaign_overrides(args: argparse.Namespace) -> Dict[str, List[Any]]:
         overrides.setdefault("wire_bps", [link])
     for key in ("seed", "scale", "duration"):
         if hasattr(args, key):
-            overrides.setdefault(key, [getattr(args, key)])
+            value = getattr(args, key)
+            # argparse's float() accepts "nan" and "inf", as for
+            # ``fv simulate``.
+            if _non_finite(value):
+                raise ReproError(f"--{key} must be finite, got {value}")
+            overrides.setdefault(key, [value])
     return overrides
 
 

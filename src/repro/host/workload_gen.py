@@ -36,6 +36,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.flow import PROTO_TCP, FiveTuple
@@ -104,20 +105,22 @@ class _WindowLedger:
     The batched engine submits a window's emissions before their
     instants pass, so eager counters would run ahead of the clock.
     Instead each window keeps sorted instant arrays and an inclusive
-    payload prefix sum (an ``array('q')``: eight bytes a packet rather
-    than one int object each); observers bisect against ``sim.now``
-    and fully elapsed ledgers fold into scalar bases and are dropped —
-    constant observation memory in the flow count.
+    payload prefix sum; observers bisect against ``sim.now`` and fully
+    elapsed ledgers fold into scalar bases and are dropped — constant
+    observation memory in the flow count. Every column is a typed
+    array (``array('d')`` instants, ``array('q')`` sums): eight bytes
+    an entry rather than a float or int object each. ``times`` is the
+    same array the window's ingress train reads.
     """
 
     __slots__ = ("times", "payload_cum", "starts", "ends", "last")
 
     def __init__(
         self,
-        times: List[float],
+        times: Sequence[float],
         payload_cum: Sequence[int],
-        starts: List[float],
-        ends: List[float],
+        starts: Sequence[float],
+        ends: Sequence[float],
     ):
         self.times = times
         self.payload_cum = payload_cum
@@ -361,26 +364,6 @@ class TraceWorkload:
     # ------------------------------------------------------------------
     # trace engine: horizon-windowed batch generation
     # ------------------------------------------------------------------
-    def _next_flow(self) -> Optional[Tuple[float, int]]:
-        """Draw the next (arrival, size) pair — the exact RNG-draw
-        order of :meth:`_arrivals`: one expovariate per candidate
-        arrival, one size draw per arrival that lands inside the
-        duration, and the terminal overshoot expovariate unpaired."""
-        if self._arr_done:
-            return None
-        d = self.duration
-        t = self._arr_time
-        if d is not None and t >= d:
-            # The reference engine's while-condition: with duration
-            # <= 0 not even the first expovariate is drawn.
-            self._arr_done = True
-            return None
-        t = self._arr_time = t + self._rng.expovariate(self._lam)
-        if d is not None and t >= d:
-            self._arr_done = True
-            return None
-        return t, self.sample_flow_size()
-
     def _window_step(self) -> None:
         # Retire every elapsed ledger (all instants of an earlier window
         # precede this window's start), so a run holds only the current
@@ -395,131 +378,159 @@ class TraceWorkload:
             self.sim.schedule_at(end, self._window_step)
 
     def _emit_window(self, start: float, end: float) -> None:
-        """Generate and submit every emission instant in [start, end)."""
-        # 1. Admit arrivals landing inside this window as cursors. One
-        #    drawn pair may overshoot the window: it is held (drawing
-        #    ahead in the same stream keeps the sequence order) and
-        #    admitted by the window that contains it.
-        cursors = self._cursors
-        psize = self._psize
-        starts: List[float] = []
-        ends: List[float] = []
-        while True:
-            nxt = self._pending
-            if nxt is not None:
-                self._pending = None
-            else:
-                nxt = self._next_flow()
-                if nxt is None:
-                    break
-            if nxt[0] >= end:
-                self._pending = nxt
-                break
-            t0, size = nxt
-            flow = self._mint_flow()
-            starts.append(t0)
-            n_pkts = -(-size // psize)
-            if n_pkts == 0:
-                ends.append(t0)  # degenerate zero-byte flow
-                continue
-            if n_pkts == 1:
-                # Sent whole at t0, inside this window: no pacing
-                # cursor, just (instant, flow, payload) for step 2.
-                cursors.append((t0, flow, size))
-                continue
-            cursors.append([t0, n_pkts, flow, size - (n_pkts - 1) * psize])
-        if not cursors:
-            if starts:
-                self._ledgers.append(_WindowLedger([], [], starts, ends))
-            return
-        # 2. Walk each cursor's pacing chain through the window. The
-        #    chain is the same left-to-right float accumulation the
-        #    per-flow engine performs one yield at a time: ``accumulate``
-        #    runs the identical adds, so every instant is bit-identical.
-        gap = self._gap
-        mint_full = psize if psize >= 64 else 64
-        times_all: List[float] = []
-        flows_all: List[FiveTuple] = []
-        mints_all: List[int] = []
-        payloads_all: List[int] = []
-        keep: List[List] = []
-        for cur in cursors:
-            if cur.__class__ is tuple:
-                # A single-packet flow admitted above: what the walk
-                # below would do for one packet left before ``end``.
-                t, flow, payload = cur
-                times_all.append(t)
-                flows_all.append(flow)
-                ends.append(t)
-                mints_all.append(payload if payload >= 64 else 64)
-                payloads_all.append(payload)
-                continue
-            t = cur[0]
-            if t >= end:
-                keep.append(cur)
-                continue
-            n_left = cur[1]
-            flow = cur[2]
-            n_emit = 0
-            while n_left > 0 and t < end:
-                m = min(n_left, int((end - t) / gap) + 2, _MAX_CHAIN)
-                chain = list(accumulate(repeat(gap, m - 1), initial=t))
-                k = bisect_left(chain, end)
-                times_all += chain[:k]
-                n_emit += k
-                n_left -= k
-                t = chain[k] if k < m else chain[-1] + gap
-            cur[0] = t
-            cur[1] = n_left
-            flows_all.extend([flow] * n_emit)
-            if n_left == 0:
-                # The flow's final packet fell in this window: it
-                # carries the size remainder; every other packet is a
-                # full payload.
-                ends.append(times_all[-1])
-                last_payload = cur[3]
-                mints_all.extend([mint_full] * (n_emit - 1))
-                mints_all.append(last_payload if last_payload >= 64 else 64)
-                payloads_all.extend([psize] * (n_emit - 1))
-                payloads_all.append(last_payload)
-            else:
-                keep.append(cur)
-                mints_all.extend([mint_full] * n_emit)
-                payloads_all.extend([psize] * n_emit)
+        """Generate and submit every emission instant in [start, end).
+
+        One pass lays the window's packets out in walk order in typed
+        arrays: first the pacing cursors kept from earlier windows, then
+        each arrival as it is admitted. A single-packet flow goes
+        straight into the arrays; a longer one is walked at once and its
+        tail kept as a cursor for the next window. A stable sort by
+        instant then merges the flows (DESIGN.md §12). Only the kept
+        cursors and the held arrival keep float or int objects past the
+        pass, so the window leaves no small-object debris among the
+        five-tuples it mints.
+        """
+        times = array("d")  # emission instants
+        flows = []  # five-tuples
+        mints = array("q")  # minted packet sizes
+        payloads = array("q")
+        starts = array("d")  # flow arrival instants
+        ends = array("d")  # instants of flows' last packets
+        walk = self._walk
+        # 1. Walk the cursors kept from earlier windows.
+        keep = [
+            cur for cur in self._cursors
+            if walk(cur, end, times, flows, mints, payloads, ends)
+        ]
+        # 2. Admit the arrivals landing inside this window, with the
+        #    exact RNG-draw order of :meth:`_arrivals`: one expovariate
+        #    per candidate arrival, one size draw per arrival inside the
+        #    duration, and the terminal overshoot expovariate unpaired.
+        #    The one pair drawn past the window is held (drawing ahead
+        #    in the same stream keeps the sequence order) and admitted
+        #    by the window that contains it.
+        held = self._pending
+        if held is None or held[0] < end:
+            self._pending = None
+            expovariate = self._rng.expovariate
+            sample = self.sample_flow_size
+            mint = self._mint_flow
+            lam = self._lam
+            psize = self._psize
+            d = float("inf") if self.duration is None else self.duration
+            t = self._arr_time
+            while True:
+                if held is not None:
+                    t0, size = held
+                    held = None
+                else:
+                    # The reference engine's while-condition: with
+                    # duration <= 0 not even the first expovariate is
+                    # drawn.
+                    if t >= d:
+                        break
+                    t += expovariate(lam)
+                    if t >= d:
+                        break
+                    size = sample()
+                    if t >= end:
+                        self._pending = (t, size)
+                        break
+                    t0 = t
+                flow = mint()
+                starts.append(t0)
+                if 0 < size <= psize:
+                    # Sent whole at t0, inside this window.
+                    times.append(t0)
+                    flows.append(flow)
+                    mints.append(size if size >= 64 else 64)
+                    payloads.append(size)
+                    ends.append(t0)
+                elif size <= 0:
+                    ends.append(t0)  # degenerate zero-byte flow
+                else:
+                    n_pkts = -(-size // psize)
+                    cur = [t0, n_pkts, flow, size - (n_pkts - 1) * psize]
+                    if walk(cur, end, times, flows, mints, payloads, ends):
+                        keep.append(cur)
+            self._arr_time = t
+            self._arr_done = t >= d
         self._cursors = keep
-        # 3. Merge every flow's instants into one time-sorted train.
-        #    Stable sorts keep equal-instant ties in flow-start order.
-        n = len(times_all)
-        if n == 0:
-            if starts:
-                self._ledgers.append(_WindowLedger([], [], starts, ends))
+        n = len(times)
+        if not n and not starts:
             return
-        order = sorted(range(n), key=times_all.__getitem__)
-        times_sorted = [times_all[j] for j in order]
-        flows_sorted = [flows_all[j] for j in order]
-        mints_sorted = [mints_all[j] for j in order]
-        payload_cum = array("q", accumulate(map(payloads_all.__getitem__, order)))
-        ends.sort()
-        self._ledgers.append(
-            _WindowLedger(times_sorted, payload_cum, starts, ends)
-        )
+        # 3. Merge every flow's instants into one time-sorted train.
+        #    The stable sort keeps equal-instant ties in walk order.
+        if n > 1:
+            instants = times.tolist()
+            pick = itemgetter(*sorted(range(n), key=instants.__getitem__))
+            times = array("d", pick(instants))
+            del instants  # n floats, freed before the next columns
+            flows = pick(flows)
+            mints = array("q", pick(mints))
+            payloads = pick(payloads)
+        self._ledgers.append(_WindowLedger(
+            times, array("q", accumulate(payloads)), starts, array("d", sorted(ends))
+        ))
+        if not n:
+            return
         # 4. Submit: one pre-merged trace train to a capable NIC, or
         #    one run-lane train of exact-instant mint callbacks.
         target = self._trace_target
         if target is not None:
             target.submit_trace(
-                self.factory.make, times_sorted, flows_sorted, mints_sorted,
-                self.app, self.vf_index,
+                self.factory.make, times, flows, mints, self.app, self.vf_index,
             )
         else:
             self.sim._queue.push_run(
-                TrainCursor(
-                    times_sorted, self._emit_one,
-                    each=list(zip(mints_sorted, flows_sorted)),
-                )
+                TrainCursor(times, self._emit_next, (zip(mints, flows),))
             )
 
-    def _emit_one(self, size: int, flow: FiveTuple) -> None:
+    def _walk(self, cur: List, end: float, times, flows, mints, payloads, ends) -> bool:
+        """Walk pacing cursor *cur*'s chain up to *end* into the window's
+        arrays; True when the flow has packets left for a later window.
+
+        The chain is the same left-to-right float accumulation the
+        per-flow engine performs one yield at a time: ``accumulate``
+        runs the identical adds, so every instant is bit-identical.
+        """
+        t = cur[0]
+        if t >= end:
+            return True
+        gap = self._gap
+        n_left = cur[1]
+        n_emit = 0
+        while n_left > 0 and t < end:
+            m = min(n_left, int((end - t) / gap) + 2, _MAX_CHAIN)
+            chain = list(accumulate(repeat(gap, m - 1), initial=t))
+            k = bisect_left(chain, end)
+            times.fromlist(chain[:k])
+            n_emit += k
+            n_left -= k
+            t = chain[k] if k < m else chain[-1] + gap
+        cur[0] = t
+        cur[1] = n_left
+        flows += [cur[2]] * n_emit
+        psize = self._psize
+        mint_full = psize if psize >= 64 else 64
+        if n_left:
+            mints.fromlist([mint_full] * n_emit)
+            payloads.fromlist([psize] * n_emit)
+            return True
+        # The flow's final packet fell in this window: it carries the
+        # size remainder; every other packet is a full payload.
+        ends.append(times[-1])
+        last_payload = cur[3]
+        mints.fromlist([mint_full] * (n_emit - 1))
+        mints.append(last_payload if last_payload >= 64 else 64)
+        payloads.fromlist([psize] * (n_emit - 1))
+        payloads.append(last_payload)
+        return False
+
+    def _emit_next(self, items) -> None:
+        """Mint and submit the next packet of a run-lane train; *items*
+        yields each item's ``(size, flow)`` in train order."""
+        size, flow = next(items)
         packet = self.factory.make(
             size, flow, self.sim._now, app=self.app, vf_index=self.vf_index
         )

@@ -219,7 +219,9 @@ class FluidLane:
         frame, with the per-packet callees (micro flush, packet mint,
         buffer admission) inlined — at this event rate every call frame
         on the path is measurable — then the one gate,
-        :meth:`_try_fluid`."""
+        :meth:`_try_fluid`. It indexes the record's ``times``/``flows``/
+        ``sizes`` sequences: lists for a burst, typed arrays and a tuple
+        for a trace window."""
         now = self._sim._now
         micro = self._micro
         if micro and micro[0][0] <= now:  # inlined _flush(now)

@@ -15,7 +15,7 @@ Every stage is bounded; drops are marked with a
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..core.scheduling import Verdict
 from ..net.link import Link
@@ -50,14 +50,18 @@ class _IngressTrain:
     the RX DMA latency) whose items all share one ``(rec,)`` args
     tuple, and a cursor runs its items in order. So ``seen`` doubles as
     the arrival items' index into ``times``/``flows``/``sizes``, and
-    no per-packet object exists before an item runs.
+    no per-packet object exists before an item runs. The three are any
+    indexable sequences: a burst passes lists, and a trace window its
+    ledger's ``array('d')`` instants, a tuple of five-tuples and an
+    ``array('q')`` of sizes, so that a window holds no float or int
+    object per packet.
     """
 
     __slots__ = (
         "times", "flows", "sizes", "seen", "make", "app", "vf_index", "n", "factory",
     )
 
-    def __init__(self, times: List[float], flows, sizes, make, app, vf_index):
+    def __init__(self, times: Sequence[float], flows, sizes, make, app, vf_index):
         #: Ascending emission instants of this train.
         self.times = times
         self.flows = flows
@@ -325,9 +329,9 @@ class NicPipeline:
     def submit_trace(
         self,
         make: Callable[..., Packet],
-        times: List[float],
-        flows: List,
-        sizes: List[int],
+        times: Sequence[float],
+        flows: Sequence,
+        sizes: Sequence[int],
         app: str,
         vf_index: int = 0,
     ) -> _IngressTrain:
@@ -335,7 +339,9 @@ class NicPipeline:
 
         *times* are ascending absolute emission instants (>= now), with
         parallel *flows* (five-tuples) and *sizes* (minted packet
-        sizes) — the batched trace workload pre-merges every active
+        sizes), any indexable sequences; the train keeps them as given
+        (the trace workload passes typed arrays that its window ledger
+        shares). The batched trace workload pre-merges every active
         flow's instants for the window and hands the NIC a single
         train, so ingress costs one run merge per *window* instead of
         one heap event per packet (or one train per flow, whose

@@ -69,9 +69,9 @@ class TrainCursor:
     Item ``i`` fires at ``times[i] + offset`` with seq ``seq + i`` and
     runs ``call(*args)``, or ``call(*each[i])`` when the train carries
     per-item arguments. The cursor keeps the producer's own instant
-    list (never copied), and each item's time is computed when the
-    item runs, so a train of any length costs the kernel one object
-    and one heap entry. ``seq`` is a block drawn from the queue's
+    sequence (a list or an ``array('d')``, never copied), and each
+    item's time is computed when the item runs, so a train of any
+    length costs the kernel one object and one heap entry. ``seq`` is a block drawn from the queue's
     shared counter when the train is merged (so a cursor is merged at
     most once); ``pos`` is the index of the next item to run.
 
@@ -89,7 +89,7 @@ class TrainCursor:
         each: Optional[Sequence[Tuple[Any, ...]]] = None,
         offset: float = 0.0,
     ):
-        #: Non-decreasing item instants (the producer's list).
+        #: Non-decreasing item instants (the producer's sequence).
         self.times = times
         #: Added to every instant when its item runs (e.g. a DMA latency).
         self.offset = offset

@@ -136,7 +136,7 @@ class Process(SimEvent):
                 queue._live += 1
             else:
                 # Zero routes through schedule's now-queue path;
-                # negative raises there.
+                # negative or NaN raises there.
                 self.sim.schedule(yielded, self._resume, None, None)
             return
         if cls is At:
@@ -147,8 +147,9 @@ class Process(SimEvent):
                 heappush(queue._heap, (time, next(queue._counter), self._resume))
                 queue._live += 1
             else:
-                # time == now goes to the zero-delay FIFO; a past time
-                # raises inside schedule(), same as a negative delay.
+                # time == now goes to the zero-delay FIFO; a past or
+                # NaN time raises inside schedule(), as a negative delay
+                # does.
                 sim.schedule(time - sim._now, self._resume, None, None)
             return
         self._wait_on(yielded)

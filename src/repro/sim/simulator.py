@@ -91,10 +91,11 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Run ``fn(*args)`` *delay* seconds from now; returns a handle.
 
-        ``delay`` must be non-negative. A zero delay runs the callback
-        after the current callback returns (run-to-completion), still at
-        the same timestamp — via the queue's FIFO fast path rather than
-        the heap (same firing order, no heap traffic).
+        ``delay`` must be non-negative (a NaN delay is rejected too). A
+        zero delay runs the callback after the current callback returns
+        (run-to-completion), still at the same timestamp — via the
+        queue's FIFO fast path rather than the heap (same firing order,
+        no heap traffic).
 
         The queue insert is inlined (not ``self._queue.push(...)``):
         this method runs about once per executed event, so one call
@@ -105,8 +106,11 @@ class Simulator:
             event = Event(self._now, next(queue._counter), fn, args)
             queue._nowq.append(event)
         else:
-            if delay < 0:
-                raise SimulationError(f"cannot schedule into the past (delay={delay})")
+            # One comparison rejects both a negative and a NaN delay.
+            if not delay > 0.0:
+                raise SimulationError(
+                    f"delay must be a non-negative number, got {delay}"
+                )
             time = self._now + delay
             event = Event(time, next(queue._counter), fn, args)
             heapq.heappush(queue._heap, (time, event.seq, event))
@@ -114,10 +118,12 @@ class Simulator:
         return event
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulation *time*."""
-        if time < self._now:
+        """Run ``fn(*args)`` at absolute simulation *time* (not NaN,
+        and not before now)."""
+        if not time >= self._now:
             raise SimulationError(
-                f"cannot schedule into the past (time={time}, now={self._now})"
+                f"cannot schedule at time={time} (now={self._now}): "
+                "it is in the past or NaN"
             )
         return self._queue.push(time, fn, args)
 
@@ -194,6 +200,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
+        if until is not None and until != until:
+            # No event time exceeds a NaN horizon, so the loop would run
+            # for as long as any event keeps rescheduling.
+            raise SimulationError("Simulator.run() needs a horizon that is not NaN")
         self._running = True
         self._stopped = False
         queue = self._queue

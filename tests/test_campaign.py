@@ -333,6 +333,29 @@ class TestCampaignCli:
         with pytest.raises(SystemExit, match="duplicate"):
             _parse_set_overrides(["seed=1", "seed=2"])
 
+    @pytest.mark.parametrize("flags", [
+        ["--duration", "nan"],
+        ["--duration", "inf"],
+        ["--scale", "nan"],
+        ["--set", "seconds=nan"],
+        ["--set", "smoke_sleep.seconds=0.01,-inf"],
+        ["--set", "seconds=1e999"],
+    ])
+    def test_run_rejects_non_finite_floats(self, tmp_path, capsys, monkeypatch, flags):
+        # argparse's float() and the --set parser accept NaN and
+        # infinities; unchecked, a NaN duration never ends a simulation.
+        # They are rejected before any task starts, as by fv simulate.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "campaign", "run", "smoke_sleep", "--workers", "0", "--no-cache",
+            "--manifest", "m.jsonl", *flags,
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "fv: error:" in err and "must be finite" in err
+        assert "task(s)" not in out
+        assert not (tmp_path / "m.jsonl").exists()
+
     def test_perf_workloads_print_their_tables(self, tmp_path, capsys, monkeypatch):
         # The shell route to the three perf workloads at short settings.
         # The fabric cell (8 hosts, 2 shards, 2 s) pins the same counts

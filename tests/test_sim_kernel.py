@@ -44,6 +44,37 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
 
+    def test_nan_delay_and_time_rejected(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), lambda: None)
+        assert sim.pending_events == 0
+
+    def test_nan_horizon_rejected(self):
+        # No event time exceeds a NaN horizon, so unchecked, a run with
+        # a rescheduling event never returns. The tick stops the run
+        # after 1,000 reschedules: a missing check fails here instead of
+        # hanging.
+        sim = Simulator()
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) < 1000:
+                sim.schedule(1.0, tick)
+            else:
+                sim.stop()
+
+        sim.schedule(1.0, tick)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert ticks == []
+        # The rejected call left the simulator usable.
+        assert sim.run(until=3.0) == 3.0
+        assert ticks == [1.0, 2.0, 3.0]
+
     def test_cancelled_event_does_not_run(self):
         sim = Simulator()
         fired = []
