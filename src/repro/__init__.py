@@ -18,10 +18,10 @@ Subpackages
 ``repro.sim``
     Deterministic discrete-event simulation kernel.
 ``repro.net``
-    Packets, flows, links, sinks.
+    Packets, five-tuples, links, sinks.
 ``repro.nic``
-    The NP-based SmartNIC model (micro-engine workers, memory
-    hierarchy, rings, reorder system, traffic manager).
+    The NP-based SmartNIC model (micro-engine workers, cycle budgets,
+    rings, reorder system, traffic manager).
 ``repro.tc``
     Traffic-control front end: ``fv``/``tc`` parser, classifier,
     validation.

@@ -629,12 +629,14 @@ def _split_grid_values(text: str) -> List[str]:
 
 def _coerce_value(text: str) -> Any:
     """Best-effort literal parse (ints, floats, lists, strings).
-    ``nan`` and ``inf`` are no Python literals but read as floats, so
-    the finiteness check sees them."""
+    ``nan`` and ``inf`` are no Python literals but read as floats, in a
+    bracketed list too, so the finiteness check sees them."""
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
         pass
+    if text.startswith("[") and text.endswith("]"):
+        return [_coerce_value(item) for item in _split_grid_values(text[1:-1])]
     try:
         return float(text)
     except ValueError:
@@ -751,10 +753,9 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     counts = Counter(record.status for record in records)
     summary = ", ".join(f"{status}={n}" for status, n in sorted(counts.items()))
     print(f"{args.manifest}: {len(records)} task(s): {summary or 'empty'}")
-    table = Table("campaign status", ["task", "status", "attempts", "duration(s)"])
+    table = Table("campaign status", ["task", "status", "duration(s)"])
     for record in records:
-        table.add_row(record.task_id, record.status, record.attempts,
-                      f"{record.duration:.2f}")
+        table.add_row(record.task_id, record.status, f"{record.duration:.2f}")
     print(table.render())
     return 0 if all(r.status in ("ok", "cached") for r in records) else 1
 

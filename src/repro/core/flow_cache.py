@@ -1,6 +1,6 @@
 """Exact-match flow cache.
 
-Observation 2 in the paper: the Netronome Exact Match Flow Cache uses
+Observation 2 in the paper: the Netronome exact-match flow cache uses
 dedicated lookup engines to memoise per-flow actions, enlarging the
 kernel flow-cache implementation "by 10 times". Here it memoises the
 labeling function's classification result per ``(five-tuple, vf,

@@ -1,9 +1,9 @@
 """Campaign manifests: one JSONL record per finished task.
 
 The manifest is the campaign's flight recorder — statuses, durations,
-attempts, worker pids, and cache keys stream to disk as each task
-lands, so a crashed or interrupted campaign still leaves an auditable
-trail and ``fv campaign status`` works on live files.
+worker pids, and cache keys stream to disk as each task lands, so a
+crashed or interrupted campaign still leaves an auditable trail and
+``fv campaign status`` works on live files.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ class TaskRecord:
     spec: str
     params: Dict[str, Any] = field(default_factory=dict)
     status: str = "ok"
-    attempts: int = 1
     duration: float = 0.0
     worker: Optional[int] = None
     cache_key: str = ""

@@ -21,6 +21,7 @@ or timeouts, but convenient under a debugger.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from collections import deque
@@ -85,13 +86,12 @@ class CampaignReport:
     def summary_table(self) -> Table:
         table = Table(
             f"campaign — {len(self.records)} tasks in {self.wall_seconds:.1f}s wall",
-            ["task", "status", "attempts", "duration(s)", "worker"],
+            ["task", "status", "duration(s)", "worker"],
         )
         for record in self.records:
             table.add_row(
                 record.task_id,
                 record.status,
-                record.attempts,
                 f"{record.duration:.2f}",
                 record.worker if record.worker is not None else "-",
             )
@@ -143,6 +143,10 @@ class CampaignRunner:
     ) -> None:
         if workers < 0:
             raise CampaignError(f"workers must be >= 0, got {workers}")
+        if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+            raise CampaignError(
+                f"timeout must be a positive, finite number of seconds, got {timeout}"
+            )
         self.workers = workers
         self.timeout = timeout
         self.cache = ResultCache(cache_dir) if cache_dir else None
@@ -247,7 +251,7 @@ class CampaignRunner:
         now = time.time()
         self._finish(report, manifest, TaskRecord(
             task_id=task.task_id, spec=task.spec, params=dict(task.params),
-            status="cached", attempts=0, duration=0.0, worker=None,
+            status="cached", duration=0.0, worker=None,
             cache_key=key, started=now, finished=now,
         ), value)
         return True

@@ -1,5 +1,5 @@
-"""End-host model: CPU cores, SR-IOV virtual functions, AIMD TCP
-connections, and workload drivers.
+"""End-host model: CPU cores, AIMD TCP connections, and workload
+drivers.
 
 Plays the role of the paper's testbed host (8-core 2.3 GHz, DPDK or
 kernel drivers, iperf3/mTCP traffic tools): applications pinned to
@@ -18,7 +18,6 @@ from .traffic import (
     propagate_next_change,
     windows,
 )
-from .vf import VirtualFunction
 from .workload_gen import TraceWorkload, WorkloadProfile, WORKLOAD_PRESETS
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "TcpApp",
     "propagate_next_change",
     "windows",
-    "VirtualFunction",
     "TraceWorkload",
     "WorkloadProfile",
     "WORKLOAD_PRESETS",

@@ -78,8 +78,8 @@ class TcpApp:
 
     Parameters
     ----------
-    submit: where packets go — ``VirtualFunction.send``, a NIC
-        pipeline's ``submit``, or a software scheduler's ``enqueue``.
+    submit: where packets go — a NIC pipeline's ``submit`` or a
+        software scheduler's ``enqueue``.
     send_cost_cycles: host cycles charged to the app's core per packet
         (driver/syscall cost of the chosen I/O stack).
     """

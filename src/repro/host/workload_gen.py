@@ -20,9 +20,9 @@ Two generation engines share one statistical model (DESIGN.md §12):
   the per-flow engine, then hands the whole window to the target as
   one pre-merged train (``NicPipeline.submit_trace``) or one run-lane
   train. Packet streams are bit-identical between the engines; only
-  kernel-event counts differ. Flow/byte tallies are folded lazily
-  from per-window ledgers, so observation memory stays at one window
-  regardless of flow count.
+  kernel-event counts differ. The flow and byte tallies are folded
+  lazily from per-window ledgers, so observation memory stays at one
+  window regardless of flow count.
 
 Presets (:data:`WORKLOAD_PRESETS`) give the three motivating app types
 distinct mixes; :class:`TraceWorkload` drives one app's flow process.
@@ -43,7 +43,7 @@ from ..net.flow import PROTO_TCP, FiveTuple
 from ..net.packet import Packet, PacketFactory
 from ..sim.events import TrainCursor
 
-__all__ = ["FlowSpec", "WorkloadProfile", "TraceWorkload", "WORKLOAD_PRESETS"]
+__all__ = ["WorkloadProfile", "TraceWorkload", "WORKLOAD_PRESETS"]
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,6 @@ WORKLOAD_PRESETS: Dict[str, WorkloadProfile] = {
         pareto_alpha=1.2, flow_rate_limit_bps=5e9,
     ),
 }
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """One generated flow: identity, size, start time."""
-
-    flow: FiveTuple
-    size_bytes: int
-    start_time: float
 
 
 class _WindowLedger:
@@ -190,9 +181,10 @@ class TraceWorkload:
         self.dst_ip = dst_ip
         self.mode = mode
         self._rng = sim.random.stream(f"workload:{app}")
-        # Flow/byte tallies. A flow completes when its last packet has
-        # been *submitted*; delivery is the network's job. In batched
-        # mode these are bases under the ledger fold (see properties).
+        # Tallies of flows and bytes. A flow completes when its last
+        # packet has been *submitted*; delivery is the network's job. In
+        # batched mode these are bases under the ledger fold (see
+        # properties).
         self._started_base = 0
         self._completed_base = 0
         self._offered_base = 0

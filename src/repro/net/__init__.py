@@ -1,4 +1,4 @@
-"""Network primitives: packets, flows, links, and sinks.
+"""Network primitives: packets, five-tuples, links, and sinks.
 
 These are the nouns exchanged between the host model
 (:mod:`repro.host`), the SmartNIC model (:mod:`repro.nic`), and the
@@ -6,7 +6,7 @@ schedulers (:mod:`repro.core`, :mod:`repro.baselines`).
 """
 
 from .packet import Packet, PacketFactory, DropReason
-from .flow import FiveTuple, Flow, FlowTable
+from .flow import FiveTuple
 from .link import Link
 from .sink import PacketSink
 from .boundary import BoundaryOutbox, RemoteIngress, WireRecord
@@ -16,8 +16,6 @@ __all__ = [
     "PacketFactory",
     "DropReason",
     "FiveTuple",
-    "Flow",
-    "FlowTable",
     "Link",
     "PacketSink",
     "BoundaryOutbox",

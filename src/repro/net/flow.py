@@ -1,4 +1,4 @@
-"""Flows and five-tuples.
+"""Five-tuples: the flow identity packets carry.
 
 Filter rules in :mod:`repro.tc` classify packets on their five-tuple,
 and the FlowValve exact-match flow cache (:mod:`repro.core.flow_cache`)
@@ -8,9 +8,9 @@ paper's Observation 2 describes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, NamedTuple, Optional
+from typing import NamedTuple
 
-__all__ = ["FiveTuple", "Flow", "FlowTable"]
+__all__ = ["FiveTuple"]
 
 #: Conventional protocol numbers used by the workloads.
 PROTO_TCP = 6
@@ -38,76 +38,3 @@ class FiveTuple(NamedTuple):
     def __str__(self) -> str:
         proto = {PROTO_TCP: "tcp", PROTO_UDP: "udp"}.get(self.proto, str(self.proto))
         return f"{proto}:{self.src_ip}:{self.src_port}->{self.dst_ip}:{self.dst_port}"
-
-
-class Flow:
-    """Aggregated per-flow accounting.
-
-    Tracks packet/byte counts and the last-seen timestamp; the flow
-    table uses the timestamp to expire idle entries, mirroring the
-    expired-status removal the scheduling function performs
-    (Subprocedure 3).
-    """
-
-    __slots__ = ("key", "app", "packets", "bytes", "drops", "first_seen", "last_seen")
-
-    def __init__(self, key: FiveTuple, app: str = "", now: float = 0.0):
-        self.key = key
-        self.app = app
-        self.packets = 0
-        self.bytes = 0
-        self.drops = 0
-        self.first_seen = now
-        self.last_seen = now
-
-    def account(self, size: int, now: float, dropped: bool = False) -> None:
-        """Record one packet of *size* bytes observed at *now*."""
-        self.packets += 1
-        self.bytes += size
-        if dropped:
-            self.drops += 1
-        self.last_seen = now
-
-    def idle_for(self, now: float) -> float:
-        """Seconds since the last packet of this flow."""
-        return now - self.last_seen
-
-
-class FlowTable:
-    """A dictionary of :class:`Flow` keyed by five-tuple, with expiry.
-
-    Parameters
-    ----------
-    idle_timeout:
-        Flows idle longer than this are removed by :meth:`expire`.
-    """
-
-    def __init__(self, idle_timeout: float = 5.0):
-        self.idle_timeout = idle_timeout
-        self._flows: Dict[FiveTuple, Flow] = {}
-
-    def __len__(self) -> int:
-        return len(self._flows)
-
-    def __iter__(self) -> Iterator[Flow]:
-        return iter(self._flows.values())
-
-    def get(self, key: FiveTuple) -> Optional[Flow]:
-        """The flow for *key*, or ``None`` if not tracked."""
-        return self._flows.get(key)
-
-    def observe(self, key: FiveTuple, size: int, now: float, app: str = "", dropped: bool = False) -> Flow:
-        """Account one packet, creating the flow entry on first sight."""
-        flow = self._flows.get(key)
-        if flow is None:
-            flow = Flow(key, app=app, now=now)
-            self._flows[key] = flow
-        flow.account(size, now, dropped=dropped)
-        return flow
-
-    def expire(self, now: float) -> int:
-        """Remove idle flows; returns how many were evicted."""
-        stale = [key for key, flow in self._flows.items() if flow.idle_for(now) > self.idle_timeout]
-        for key in stale:
-            del self._flows[key]
-        return len(stale)

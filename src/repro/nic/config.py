@@ -2,11 +2,10 @@
 
 Defaults model a Netronome Agilio CX 40GbE (NFP-4000): 50 effective
 worker micro-engines at 1.2 GHz (the paper's "many processing cores,
-e.g. ≥ 50"), four threads per ME for latency hiding, and a 40 Gbit
-wire. Cycle budgets are derived from the memory hierarchy plus
-instruction-work constants and then *calibrated* so the assembled
-pipeline's 64 B forwarding capacity lands near the paper's measured
-19.69 Mpps (Fig. 13) — see EXPERIMENTS.md for the calibration note.
+e.g. ≥ 50") and a 40 Gbit wire. Cycle budgets are per-operation
+constants *calibrated* so the assembled pipeline's 64 B forwarding
+capacity lands near the paper's measured 19.69 Mpps (Fig. 13) — see
+EXPERIMENTS.md for the calibration note.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from ..errors import ConfigError
-from .memory import MemoryHierarchy
 
 __all__ = ["CycleCosts", "NicConfig"]
 
@@ -69,8 +67,6 @@ class NicConfig:
     freq_hz: float = 1.2e9
     #: Effective worker micro-engines pulling packets.
     n_workers: int = 50
-    #: Threads per ME (memory latency hiding; folded into budgets).
-    threads_per_me: int = 4
     #: Wire rate of the egress port.
     line_rate_bps: float = 40e9
     #: PCIe DMA + load-balancer latency from host ring to a worker.
@@ -118,8 +114,6 @@ class NicConfig:
     fluid: bool = True
     #: Per-operation cycle budgets.
     costs: CycleCosts = field(default_factory=CycleCosts)
-    #: Memory hierarchy (documentation + latency-hiding math).
-    memory: MemoryHierarchy = field(default_factory=MemoryHierarchy, repr=False, compare=False)
 
     _LOCK_MODES = ("trylock", "per_class_block", "global_block", "sequential")
 

@@ -786,7 +786,6 @@ class FluidLane:
         worker's ``try_get`` would."""
         item = dispatch._items.popleft()
         dispatch.total_got += 1
-        dispatch._admit_waiting_putter()
         getter = dispatch._getters.popleft()
         getter.succeed_now(item)
 

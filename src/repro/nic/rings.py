@@ -1,12 +1,12 @@
-"""Receive queues and the shared transmit ring.
+"""The shared transmit ring.
 
 Challenge 2 in the paper: "packets are copied to the shared transmit
 (Tx) ring buffer and fed into multiple FIFO queues in the traffic
 manager. This results in packets of all classes mixed in the Tx buffer
-and treated equally upon egress." Both structures here are bounded
-FIFOs with tail-drop — there are no per-class queues anywhere on the
-NIC, which is exactly the constraint FlowValve's specialized tail drop
-works around.
+and treated equally upon egress." The ring is a bounded FIFO with
+tail-drop — there are no per-class queues anywhere on the NIC, which
+is exactly the constraint FlowValve's specialized tail drop works
+around.
 """
 
 from __future__ import annotations
@@ -17,34 +17,7 @@ from typing import Optional
 from ..net.packet import DropReason, Packet
 from ..sim import Store
 
-__all__ = ["RxQueue", "TxRing"]
-
-
-class RxQueue:
-    """One SR-IOV virtual function's transmit queue into the NIC.
-
-    (Named from the NIC's perspective: the host's VF Tx queue is the
-    NIC's receive queue.) Bounded; arrivals beyond capacity tail-drop,
-    which is the back-pressure signal host TCP stacks react to.
-    """
-
-    def __init__(self, sim, vf_index: int, depth: int = 256):
-        self.sim = sim
-        self.vf_index = vf_index
-        self.store = Store(sim, capacity=depth, name=f"vf{vf_index}-rx")
-        #: Packets dropped at the host/NIC boundary because the ring was full.
-        self.tail_drops = 0
-
-    def offer(self, packet: Packet) -> bool:
-        """Non-blocking enqueue; False (and drop-marked) when full."""
-        if self.store.try_put(packet):
-            return True
-        self.tail_drops += 1
-        packet.mark_dropped(DropReason.QUEUE_FULL)
-        return False
-
-    def __len__(self) -> int:
-        return len(self.store)
+__all__ = ["TxRing"]
 
 
 class TxRing:

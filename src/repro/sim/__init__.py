@@ -8,9 +8,12 @@ Two programming styles are supported and interoperate freely:
 
 * **Callbacks** — ``sim.schedule(delay, fn, *args)`` for hot paths
   (per-packet events) where generator overhead matters.
-* **Processes** — generator functions that ``yield`` waitables
-  (:meth:`Simulator.timeout`, :class:`~repro.sim.events.SimEvent`,
-  resource acquisitions) for sequential logic such as traffic drivers.
+* **Processes** — generator functions that ``yield`` a delay, an
+  :class:`~repro.sim.process.At` time or a
+  :class:`~repro.sim.events.SimEvent` (a one-shot event, a
+  :class:`~repro.sim.resources.Lock` acquisition, a
+  :class:`~repro.sim.resources.Store` get) for sequential logic such
+  as the NIC's workers and traffic drivers.
 
 Determinism: events at equal timestamps fire in schedule order, and all
 randomness flows through :class:`~repro.sim.randomness.RandomStreams`,
@@ -18,10 +21,10 @@ so a seeded run is exactly reproducible.
 """
 
 from .._lazy import lazy_exports
-from .events import Event, EventQueue, SimEvent, AllOf, AnyOf
+from .events import Event, EventQueue, SimEvent
 from .simulator import Simulator
 from .process import At, Process
-from .resources import Lock, Store, TokenPool
+from .resources import Lock, Store
 from .randomness import RandomStreams
 from .trace import Tracer, NullTracer, TraceRecord
 
@@ -29,8 +32,6 @@ __all__ = [
     "Event",
     "EventQueue",
     "SimEvent",
-    "AllOf",
-    "AnyOf",
     "Simulator",
     "At",
     "Process",
@@ -39,7 +40,6 @@ __all__ = [
     "ShardPlan",
     "Lock",
     "Store",
-    "TokenPool",
     "RandomStreams",
     "Tracer",
     "NullTracer",

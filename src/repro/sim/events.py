@@ -20,7 +20,7 @@ from typing import Any, Callable, Deque, Iterable, List, Optional, Sequence, Tup
 
 from ..errors import SimulationError
 
-__all__ = ["Event", "EventQueue", "EventRun", "TrainCursor", "SimEvent", "AllOf", "AnyOf"]
+__all__ = ["Event", "EventQueue", "EventRun", "TrainCursor", "SimEvent"]
 
 
 class Event:
@@ -178,15 +178,6 @@ class EventRun:
         ]
         return min(pending) if pending else None
 
-    def _last_time(self) -> Optional[float]:
-        """Timestamp of the last pending item, or ``None`` if drained."""
-        pending = [
-            cursor.times[cursor.n - 1] + cursor.offset
-            for cursor in self._cursors()
-            if cursor.pos < cursor.n
-        ]
-        return max(pending) if pending else None
-
     def cancel(self) -> None:
         """Drop every item not yet executed. Idempotent, O(1)."""
         self.cancelled = True
@@ -297,25 +288,6 @@ class EventQueue:
         run = EventRun()
         self._merge(run, _as_cursor(train))
         return run
-
-    def extend_run(self, run: EventRun, train) -> None:
-        """Append a train to *run* (which may be in flight).
-
-        Like :meth:`merge_run`, but the train must not start before the
-        run's last pending item: appending keeps the run's items
-        monotone in arrival order.
-        """
-        if run.cancelled:
-            raise SimulationError("cannot extend a cancelled EventRun")
-        cursor = _as_cursor(train)
-        last = run._last_time()
-        if cursor.n and last is not None:
-            first = cursor.times[0] + cursor.offset
-            if first < last:
-                raise SimulationError(
-                    f"EventRun entries must be time-sorted ({first} < {last})"
-                )
-        self._merge(run, cursor)
 
     def merge_run(self, run: EventRun, train) -> None:
         """Merge a time-sorted train into *run*, re-keying its heap
@@ -532,65 +504,3 @@ class SimEvent:
             schedule = self.sim.schedule
             for callback in callbacks:
                 schedule(0.0, callback, self)
-
-
-class AllOf(SimEvent):
-    """Triggers when *all* child events have succeeded.
-
-    The payload is the list of child values, in the order given.
-    Fails fast if any child fails.
-    """
-
-    __slots__ = ("_pending", "_values")
-
-    def __init__(self, sim: "Any", events: Sequence[SimEvent]):
-        super().__init__(sim)
-        events = list(events)
-        self._pending = len(events)
-        self._values: List[Any] = [None] * len(events)
-        if not events:
-            self.succeed([])
-            return
-        for index, event in enumerate(events):
-            event.subscribe(self._make_child_callback(index))
-
-    def _make_child_callback(self, index: int) -> Callable[[SimEvent], None]:
-        def on_child(event: SimEvent) -> None:
-            if self.triggered:
-                return
-            if not event.ok:
-                self.fail(event.value)
-                return
-            self._values[index] = event.value
-            self._pending -= 1
-            if self._pending == 0:
-                self.succeed(list(self._values))
-
-        return on_child
-
-
-class AnyOf(SimEvent):
-    """Triggers when the *first* child event triggers.
-
-    The payload is a ``(index, value)`` tuple identifying the winner.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, sim: "Any", events: Sequence[SimEvent]):
-        super().__init__(sim)
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        for index, event in enumerate(events):
-            event.subscribe(self._make_child_callback(index))
-
-    def _make_child_callback(self, index: int) -> Callable[[SimEvent], None]:
-        def on_child(event: SimEvent) -> None:
-            if self.triggered:
-                return
-            if not event.ok:
-                self.fail(event.value)
-            else:
-                self.succeed((index, event.value))
-
-        return on_child

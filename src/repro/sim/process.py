@@ -1,9 +1,9 @@
 """Generator-based simulation processes.
 
-A process is a Python generator that ``yield``\\ s *waitables* —
-:class:`~repro.sim.events.SimEvent` instances (timeouts, resource
-acquisitions, other processes) or a bare ``float``/``int`` which is
-shorthand for ``sim.timeout(value)``.
+A process is a Python generator that ``yield``\\ s *waitables*: a
+bare ``float``/``int`` delay in seconds, an :class:`At` absolute
+time, or a :class:`~repro.sim.events.SimEvent` (a resource
+acquisition, a one-shot event, another process).
 
 Example::
 
@@ -58,9 +58,7 @@ class Process(SimEvent):
     Created through :meth:`Simulator.process`; triggering semantics:
 
     * succeeds with the generator's ``return`` value when it finishes;
-    * fails with the exception if the generator raises;
-    * :meth:`interrupt` throws :class:`ProcessInterrupt` into the
-      generator at the current timestamp.
+    * fails with the exception if the generator raises.
     """
 
     __slots__ = ("_generator", "_alive", "_send", "_throw")
@@ -85,12 +83,6 @@ class Process(SimEvent):
         """True while the generator has not finished."""
         return self._alive
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`ProcessInterrupt` into the process now."""
-        if not self._alive:
-            return
-        self.sim.schedule(0.0, self._resume, None, ProcessInterrupt(cause))
-
     # ------------------------------------------------------------------
     def _resume(self, send_value: Any, throw_exc: Any) -> None:
         if not self._alive:
@@ -104,26 +96,18 @@ class Process(SimEvent):
             self._alive = False
             self.succeed(getattr(stop, "value", None))
             return
-        except ProcessInterrupt:
-            # Interrupt not handled by the process body: treat as a
-            # clean cancellation.
-            self._alive = False
-            self.succeed(None)
-            return
         except Exception as exc:
             self._alive = False
             self.fail(exc)
             return
         # Fast path, inlined from _wait_on: a bare delay schedules the
-        # resume directly — no intermediate timeout SimEvent, no
-        # subscription, and one queued event instead of two. The resume
-        # fires at the seq the timeout's *succeed* would have had, which
-        # keeps relative order among delay-yielding processes identical.
-        # The queue insert is open-coded (mirroring Simulator.schedule)
-        # and pushes a bare ``(time, seq, resume)`` entry — the resume
-        # lane of EventQueue — skipping the Event handle allocation:
-        # this is the single most frequent schedule in packet workloads
-        # and nothing ever cancels it.
+        # resume directly — no intermediate SimEvent, no subscription,
+        # one queued event per delay. The queue insert is open-coded
+        # (mirroring Simulator.schedule) and pushes a bare ``(time,
+        # seq, resume)`` entry — the resume lane of EventQueue —
+        # skipping the Event handle allocation: this is the single most
+        # frequent schedule in packet workloads and nothing ever
+        # cancels it.
         cls = yielded.__class__
         if cls is float or cls is int:
             if yielded > 0.0:
@@ -187,17 +171,3 @@ class Process(SimEvent):
             self._resume(event.value, None)
         else:
             self._resume(None, event.value)
-
-
-class ProcessInterrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    ``cause`` carries whatever the interrupter passed along.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-__all__.append("ProcessInterrupt")

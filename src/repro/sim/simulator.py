@@ -131,12 +131,6 @@ class Simulator:
         """Create a fresh untriggered :class:`SimEvent` bound to this sim."""
         return SimEvent(self)
 
-    def timeout(self, delay: float, value: Any = None) -> SimEvent:
-        """A :class:`SimEvent` that succeeds *delay* seconds from now."""
-        ev = SimEvent(self)
-        self.schedule(delay, ev.succeed, value)
-        return ev
-
     def process(self, generator: Any) -> "Any":
         """Start a generator as a simulation process (see :mod:`.process`)."""
         from .process import Process

@@ -1,7 +1,7 @@
-"""Measurement utilities: time series, rate meters, latency summaries,
+"""Measurement utilities: rate series, rate meters, latency summaries,
 CPU accounting, and table rendering for the benchmark reports."""
 
-from .timeseries import TimeSeries, RateSeries
+from .timeseries import RateSeries
 from .rates import EwmaRate, WindowedRate
 from .latency import (
     LatencySummary,
@@ -14,27 +14,22 @@ from .sketch import QuantileSketch, WindowedRateSketch
 from .cpu import CoreUsage, CpuReport
 from .metrics import (
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     MetricsSampler,
     NullMetricsRegistry,
     write_jsonl,
 )
 from .perf import HotpathResult, measure_run
-from .report import Table, render_table, format_series
+from .report import Table, render_table
 
 __all__ = [
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "MetricsSampler",
     "NullMetricsRegistry",
     "write_jsonl",
     "HotpathResult",
     "measure_run",
-    "TimeSeries",
     "RateSeries",
     "EwmaRate",
     "WindowedRate",
@@ -49,5 +44,4 @@ __all__ = [
     "CpuReport",
     "Table",
     "render_table",
-    "format_series",
 ]

@@ -1,4 +1,4 @@
-"""Plain-text rendering of result tables and series.
+"""Plain-text rendering of result tables.
 
 The benchmark harness prints the same rows/series the paper reports;
 this module owns the formatting so every bench produces consistent,
@@ -8,9 +8,9 @@ diff-able output (captured into ``bench_output.txt``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
-__all__ = ["Table", "render_table", "format_series"]
+__all__ = ["Table", "render_table"]
 
 
 @dataclass
@@ -48,21 +48,3 @@ def render_table(table: Table) -> str:
     lines = [table.title, fmt([str(h) for h in table.header]), "-" * (sum(widths) + 2 * (columns - 1))]
     lines.extend(fmt(row) for row in table.rows)
     return "\n".join(lines)
-
-
-def format_series(
-    name: str,
-    samples: Iterable[Tuple[float, float]],
-    time_unit: str = "s",
-    value_unit: str = "",
-    precision: int = 2,
-) -> str:
-    """Render a (time, value) series as one compact line per sample.
-
-    Intended for the Fig. 3/11 timeline reproductions where the "figure"
-    is a rate-over-time curve per traffic class.
-    """
-    parts = [f"{name}:"]
-    for t, v in samples:
-        parts.append(f"  {t:8.2f}{time_unit}  {v:12.{precision}f}{value_unit}")
-    return "\n".join(parts)

@@ -1,6 +1,5 @@
-"""Time-series containers.
+"""Binned rate series.
 
-:class:`TimeSeries` stores raw ``(time, value)`` samples;
 :class:`RateSeries` turns a stream of sized events (packet deliveries)
 into a binned rate curve — exactly what the paper's Fig. 3/11
 throughput-over-time plots are made of.
@@ -8,56 +7,10 @@ throughput-over-time plots are made of.
 
 from __future__ import annotations
 
-import bisect
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
-__all__ = ["TimeSeries", "RateSeries"]
-
-
-class TimeSeries:
-    """Append-only ``(time, value)`` samples with query helpers.
-
-    Times must be appended in non-decreasing order (simulation time
-    only moves forward), which keeps queries O(log n).
-    """
-
-    def __init__(self) -> None:
-        self.times: List[float] = []
-        self.values: List[float] = []
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def append(self, time: float, value: float) -> None:
-        """Add one sample; *time* must not precede the last sample."""
-        if self.times and time < self.times[-1]:
-            raise ValueError(
-                f"time series must be appended in order ({time} < {self.times[-1]})"
-            )
-        self.times.append(time)
-        self.values.append(value)
-
-    def value_at(self, time: float, default: float = 0.0) -> float:
-        """Most recent value at or before *time* (step interpolation)."""
-        index = bisect.bisect_right(self.times, time) - 1
-        if index < 0:
-            return default
-        return self.values[index]
-
-    def slice(self, start: float, end: float) -> "Tuple[Sequence[float], Sequence[float]]":
-        """Samples with ``start <= time < end`` as (times, values)."""
-        lo = bisect.bisect_left(self.times, start)
-        hi = bisect.bisect_left(self.times, end)
-        return self.times[lo:hi], self.values[lo:hi]
-
-    def mean(self, start: float = -math.inf, end: float = math.inf) -> float:
-        """Arithmetic mean of sample values in ``[start, end)``."""
-        _, values = self.slice(max(start, self.times[0]) if self.times else 0.0, end) \
-            if self.times else ((), ())
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+__all__ = ["RateSeries"]
 
 
 class RateSeries:

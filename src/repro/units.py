@@ -7,8 +7,8 @@ centralises the conversions so the rest of the code can work in SI
 base units (bits per second, bytes, seconds) without sprinkling magic
 constants.
 
-It also provides the ``tc``-style suffix parser used by the ``fv``
-command front end (``10gbit``, ``500mbit``, ``1514b`` ...).
+It also provides the ``tc``-style rate parser used by the ``fv``
+command front end (``10gbit``, ``500mbit`` ...).
 """
 
 from __future__ import annotations
@@ -29,14 +29,10 @@ __all__ = [
     "MAX_FRAME",
     "bits",
     "parse_rate",
-    "parse_size",
-    "parse_time",
     "format_rate",
-    "format_size",
     "format_time",
     "wire_bits",
     "line_rate_pps",
-    "goodput_ratio",
 ]
 
 #: Multipliers for decimal rate suffixes (networking convention: 1k = 1000).
@@ -67,29 +63,6 @@ _RATE_SUFFIXES = {
     "kbps": 8 * KBIT,
     "mbps": 8 * MBIT,
     "gbps": 8 * GBIT,
-}
-
-_SIZE_SUFFIXES = {
-    "b": 1,
-    "k": 1024,
-    "kb": 1024,
-    "m": 1024 * 1024,
-    "mb": 1024 * 1024,
-    "g": 1024 * 1024 * 1024,
-    "gb": 1024 * 1024 * 1024,
-}
-
-_TIME_SUFFIXES = {
-    "s": 1.0,
-    "sec": 1.0,
-    "secs": 1.0,
-    "ms": 1e-3,
-    "msec": 1e-3,
-    "msecs": 1e-3,
-    "us": 1e-6,
-    "usec": 1e-6,
-    "usecs": 1e-6,
-    "ns": 1e-9,
 }
 
 _NUMBER_RE = re.compile(r"^([0-9]*\.?[0-9]+)([a-zA-Z]*)$")
@@ -126,45 +99,12 @@ def parse_rate(text: str) -> float:
         raise ParseError(f"unknown rate suffix {suffix!r} in {text!r}") from None
 
 
-def parse_size(text: str) -> int:
-    """Parse a size string (``1514b``, ``32k``) into bytes."""
-    value, suffix = _split(text, "size")
-    if not suffix:
-        return int(value)
-    try:
-        return int(value * _SIZE_SUFFIXES[suffix])
-    except KeyError:
-        raise ParseError(f"unknown size suffix {suffix!r} in {text!r}") from None
-
-
-def parse_time(text: str) -> float:
-    """Parse a duration string (``10ms``, ``1.5s``) into seconds.
-
-    A bare number is interpreted as seconds.
-    """
-    value, suffix = _split(text, "time")
-    if not suffix:
-        return value
-    try:
-        return value * _TIME_SUFFIXES[suffix]
-    except KeyError:
-        raise ParseError(f"unknown time suffix {suffix!r} in {text!r}") from None
-
-
 def format_rate(bps: float) -> str:
     """Render a rate in the most natural decimal unit (``9.87Gbit``)."""
     for limit, name in ((GBIT, "Gbit"), (MBIT, "Mbit"), (KBIT, "Kbit")):
         if abs(bps) >= limit:
             return f"{bps / limit:.2f}{name}"
     return f"{bps:.0f}bit"
-
-
-def format_size(nbytes: float) -> str:
-    """Render a byte count with a binary suffix (``1.50KiB``)."""
-    for limit, name in ((1024 ** 3, "GiB"), (1024 ** 2, "MiB"), (1024, "KiB")):
-        if abs(nbytes) >= limit:
-            return f"{nbytes / limit:.2f}{name}"
-    return f"{nbytes:.0f}B"
 
 
 def format_time(seconds: float) -> str:
@@ -191,8 +131,3 @@ def line_rate_pps(link_bps: float, frame_bytes: int) -> float:
     14.88
     """
     return link_bps / wire_bits(frame_bytes)
-
-
-def goodput_ratio(frame_bytes: int) -> float:
-    """Fraction of the wire rate visible as L2 throughput for a frame size."""
-    return bits(frame_bytes) / wire_bits(frame_bytes)

@@ -142,7 +142,7 @@ class TestManifest:
         path = str(tmp_path / "m.jsonl")
         records = [
             TaskRecord(task_id="a", spec="s", params={"k": 1}, status="ok",
-                       attempts=1, duration=0.5, worker=123),
+                       duration=0.5, worker=123),
             TaskRecord(task_id="b", spec="s", status="timeout",
                        error="deadline"),
         ]
@@ -154,6 +154,17 @@ class TestManifest:
         # and every line is plain JSON
         lines = open(path).read().splitlines()
         assert all(json.loads(line)["spec"] == "s" for line in lines)
+
+    def test_line_with_retired_attempts_field_reads_back(self, tmp_path):
+        # Manifests written while records carried an ``attempts`` count
+        # still load: unknown keys are dropped.
+        path = tmp_path / "m.jsonl"
+        path.write_text(
+            '{"task_id": "a", "spec": "s", "status": "ok", "attempts": 1, '
+            '"duration": 0.5}\n'
+        )
+        [record] = read_manifest(str(path))
+        assert record == TaskRecord(task_id="a", spec="s", duration=0.5)
 
     def test_invalid_status_rejected(self, tmp_path):
         with ManifestWriter(str(tmp_path / "m.jsonl")) as writer:
@@ -230,7 +241,6 @@ class TestRunnerPool:
         assert not report.ok
         [record] = report.records
         assert record.status == "failed"
-        assert record.attempts == 1
         assert record.error.startswith("ValueError")
         assert read_manifest(str(tmp_path / "m.jsonl")) == [record]
 
@@ -262,6 +272,13 @@ class TestRunnerPool:
     def test_invalid_workers_rejected(self):
         with pytest.raises(CampaignError, match="workers"):
             CampaignRunner(workers=-1)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), -1.0, 0.0, float("inf")])
+    def test_invalid_timeout_rejected(self, timeout):
+        # A NaN deadline never expires and a negative one expires at
+        # once: both used to run the campaign anyway.
+        with pytest.raises(CampaignError, match="timeout"):
+            CampaignRunner(workers=1, timeout=timeout)
 
 
 # ----------------------------------------------------------------------
@@ -340,11 +357,14 @@ class TestCampaignCli:
         ["--set", "seconds=nan"],
         ["--set", "smoke_sleep.seconds=0.01,-inf"],
         ["--set", "seconds=1e999"],
+        ["--set", "seconds=[0.1,nan]"],
     ])
     def test_run_rejects_non_finite_floats(self, tmp_path, capsys, monkeypatch, flags):
         # argparse's float() and the --set parser accept NaN and
         # infinities; unchecked, a NaN duration never ends a simulation.
-        # They are rejected before any task starts, as by fv simulate.
+        # They are rejected before any task starts, as by fv simulate. A
+        # bracketed grid point is coerced element by element, so a NaN
+        # inside it is caught too.
         monkeypatch.chdir(tmp_path)
         code = main([
             "campaign", "run", "smoke_sleep", "--workers", "0", "--no-cache",
@@ -353,6 +373,19 @@ class TestCampaignCli:
         assert code == 1
         out, err = capsys.readouterr()
         assert "fv: error:" in err and "must be finite" in err
+        assert "task(s)" not in out
+        assert not (tmp_path / "m.jsonl").exists()
+
+    @pytest.mark.parametrize("timeout", ["nan", "-1"])
+    def test_run_rejects_bad_timeout(self, tmp_path, capsys, monkeypatch, timeout):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "campaign", "run", "smoke_sleep", "--workers", "0", "--no-cache",
+            "--manifest", "m.jsonl", "--timeout", timeout,
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "fv: error:" in err and "timeout" in err
         assert "task(s)" not in out
         assert not (tmp_path / "m.jsonl").exists()
 

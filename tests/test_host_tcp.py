@@ -9,7 +9,6 @@ from repro.host import (
     TcpApp,
     TcpParams,
     TcpRegistry,
-    VirtualFunction,
     windows,
 )
 from repro.net import FiveTuple, Link, PacketFactory, PacketSink
@@ -124,25 +123,6 @@ class TestFixedRateSender:
         assert demand.next_change(5.0) == 10.0
         assert demand.next_change(10.0) == 20.0
         assert demand.next_change(20.0) is None
-
-
-class TestVirtualFunction:
-    def test_stamps_vf_index_and_counts(self):
-        sim = Simulator()
-        accepted = []
-        vf = VirtualFunction(sim, index=3, nic_submit=lambda p: accepted.append(p) or True)
-        packet = PacketFactory().make(64, FiveTuple("a", "b", 1, 2), 0.0)
-        assert vf.send(packet)
-        assert packet.vf_index == 3
-        assert vf.sent == 1
-
-    def test_rejection_counted(self):
-        sim = Simulator()
-        vf = VirtualFunction(sim, index=0, nic_submit=lambda p: False)
-        packet = PacketFactory().make(64, FiveTuple("a", "b", 1, 2), 0.0)
-        assert not vf.send(packet)
-        assert vf.rejected == 1
-        assert packet.dropped
 
 
 class TestAimdTcp:

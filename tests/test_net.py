@@ -1,8 +1,8 @@
-"""Tests for network primitives: packets, flows, links, sinks."""
+"""Tests for network primitives: packets, five-tuples, links, sinks."""
 
 import pytest
 
-from repro.net import FiveTuple, Flow, FlowTable, Link, Packet, PacketFactory, PacketSink
+from repro.net import FiveTuple, Link, Packet, PacketFactory, PacketSink
 from repro.net.packet import DropReason
 from repro.sim import Simulator
 from repro.units import wire_bits
@@ -48,31 +48,6 @@ class TestFiveTuple:
     def test_hashable(self):
         ft = FiveTuple("a", "b", 1, 2)
         assert ft in {ft}
-
-
-class TestFlowTable:
-    def test_observe_creates_and_accounts(self):
-        table = FlowTable()
-        ft = FiveTuple("a", "b", 1, 2)
-        flow = table.observe(ft, 100, now=1.0)
-        table.observe(ft, 200, now=2.0)
-        assert flow.packets == 2
-        assert flow.bytes == 300
-        assert flow.last_seen == 2.0
-
-    def test_expire_removes_idle_flows(self):
-        table = FlowTable(idle_timeout=1.0)
-        table.observe(FiveTuple("a", "b", 1, 2), 100, now=0.0)
-        table.observe(FiveTuple("c", "d", 3, 4), 100, now=2.0)
-        evicted = table.expire(now=2.5)
-        assert evicted == 1
-        assert len(table) == 1
-
-    def test_drop_accounting(self):
-        table = FlowTable()
-        ft = FiveTuple("a", "b", 1, 2)
-        table.observe(ft, 100, now=0.0, dropped=True)
-        assert table.get(ft).drops == 1
 
 
 class TestLink:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import BufferExhausted, ConfigError
 from repro.net import FiveTuple, PacketFactory
 from repro.net.packet import DropReason
-from repro.nic import BufferPool, CycleCosts, MemoryHierarchy, NicConfig, ReorderBuffer, RxQueue, TxRing
+from repro.nic import BufferPool, CycleCosts, NicConfig, ReorderBuffer, TxRing
 from repro.sim import Simulator, Tracer
 
 
@@ -56,37 +56,16 @@ class TestNicConfig:
             NicConfig().scaled(0.0)
 
 
-class TestMemoryHierarchy:
-    def test_standard_regions_present(self):
-        memory = MemoryHierarchy()
-        for name in ("LMEM", "CLS", "CTM", "IMEM", "EMEM"):
-            assert memory.region(name).name == name
-
-    def test_latency_ordering(self):
-        memory = MemoryHierarchy()
-        assert (
-            memory.region("LMEM").read_cycles
-            < memory.region("CLS").read_cycles
-            < memory.region("IMEM").read_cycles
-            < memory.region("EMEM").read_cycles
-        )
-
-    def test_latency_hiding(self):
-        memory = MemoryHierarchy()
-        assert memory.hidden(160, threads_per_me=4) == 40
-        assert memory.hidden(160, threads_per_me=1) == 160
-
-
 class TestRings:
-    def test_rx_queue_tail_drop(self, factory):
+    def test_tx_ring_tail_drop(self, factory):
         sim = Simulator()
-        queue = RxQueue(sim, vf_index=0, depth=2)
-        assert queue.offer(make_packet(factory))
-        assert queue.offer(make_packet(factory))
+        ring = TxRing(sim, depth=2)
+        assert ring.offer(make_packet(factory))
+        assert ring.offer(make_packet(factory))
         overflow = make_packet(factory)
-        assert not queue.offer(overflow)
+        assert not ring.offer(overflow)
         assert overflow.drop_reason is DropReason.QUEUE_FULL
-        assert queue.tail_drops == 1
+        assert ring.tail_drops == 1
 
     def test_tx_ring_high_water_mark(self, factory):
         sim = Simulator()

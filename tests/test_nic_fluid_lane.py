@@ -15,6 +15,8 @@ import gc
 import tracemalloc
 from dataclasses import replace
 
+import pytest
+
 from repro.core.frontend import FlowValveFrontend
 from repro.experiments import hotpath
 from repro.experiments.base import ScaledSetup, _scale_demand
@@ -25,6 +27,7 @@ from repro.net import PacketFactory, PacketSink
 from repro.net.boundary import BoundaryOutbox
 from repro.net.flow import FiveTuple
 from repro.nic import NicPipeline
+from repro.nic.fluid import FluidLane
 from repro.sim import Simulator
 
 
@@ -200,6 +203,64 @@ class TestAbsorptionMechanics:
         assert nic._fluid is None
         assert sim.events_executed == 451_618
         assert nic.submitted == hotpath.SEED_PACKETS
+
+
+class TestJobHandoff:
+    """``FluidLane._job_handoff``: a fluid job finishing while a
+    spilled packet waits in the dispatch queue hands that packet to a
+    parked worker. Four always-on senders at 0.3× the backlogging rate
+    on four workers queue spills behind busy workers often enough to
+    reach it; the run must still match fluid off exactly."""
+
+    @staticmethod
+    def _run(seed, fluid):
+        setup = replace(hotpath.DEFAULT_SETUP, scale=2000.0, seed=seed)
+        sim = Simulator(seed=setup.seed)
+        frontend = FlowValveFrontend(
+            motivation_policy(setup.link_bps),
+            link_rate_bps=setup.link_bps,
+            params=setup.sched_params(),
+        )
+        sink = PacketSink(sim, rate_window=1.0, record_delays=True)
+        nic = NicPipeline.with_flowvalve(
+            sim, setup.nic_config(n_workers=4, fluid=fluid), frontend,
+            receiver=sink.receive,
+        )
+        factory = PacketFactory()
+        for index, app in enumerate(sorted(motivation_demands(setup.nominal_link_bps))):
+            FixedRateSender(
+                sim, app, factory, nic.submit,
+                rate_bps=0.3 * setup.sender_rate(), packet_size=1500,
+                vf_index=index, jitter=0.1, rng=sim.random.stream(app),
+            )
+        sim.run(until=2.0)
+        stats = nic.app.scheduler.stats
+        return {
+            "submitted": nic.submitted,
+            "forwarded": nic.forwarded,
+            "dropped": nic.dropped,
+            "drops_by_reason": {r.value: n for r, n in nic.drops_by_reason.items()},
+            "bytes_by_app": dict(sink.bytes),
+            "delays": sink.delays,
+            "link_busy_until": nic.link._busy_until,
+            "tx_ring_max": nic.tx_ring.max_occupancy,
+            "buffers_min_free": nic.buffers.min_free,
+            "updates": (stats.updates_run, stats.updates_skipped),
+        }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_handoff_runs_and_matches_fluid_off(self, monkeypatch, seed):
+        handoffs = []
+        job_handoff = FluidLane._job_handoff
+
+        def counted(lane, dispatch):
+            handoffs.append(dispatch)
+            job_handoff(lane, dispatch)
+
+        monkeypatch.setattr(FluidLane, "_job_handoff", counted)
+        fluid_on = self._run(seed, fluid=True)
+        assert handoffs
+        assert fluid_on == self._run(seed, fluid=False)
 
 
 class TestEmcKey:

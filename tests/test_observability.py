@@ -18,7 +18,6 @@ from repro.net import FiveTuple, PacketFactory, PacketSink
 from repro.nic import NicPipeline
 from repro.sim import NullTracer, Simulator, Tracer
 from repro.stats.metrics import (
-    Histogram,
     MetricsRegistry,
     MetricsSampler,
     NullMetricsRegistry,
@@ -35,25 +34,6 @@ class TestMetricsRegistry:
         assert registry.counter("nic.drops") is counter
         assert registry.snapshot()["nic.drops"] == pytest.approx(3.5)
 
-    def test_gauge_set(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(17)
-        assert registry.snapshot()["depth"] == 17
-
-    def test_histogram_buckets_and_mean(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("delay", bounds=[1.0, 10.0])
-        for value in (0.5, 5.0, 50.0):
-            hist.observe(value)
-        snap = registry.snapshot()["delay"]
-        assert snap["count"] == 3
-        assert snap["buckets"] == {"le_1": 1, "le_10": 1, "overflow": 1}
-        assert snap["mean"] == pytest.approx(55.5 / 3)
-
-    def test_histogram_rejects_empty_bounds(self):
-        with pytest.raises(ValueError):
-            Histogram("x", bounds=[])
-
     def test_probe_evaluated_at_snapshot_time(self):
         registry = MetricsRegistry()
         state = {"value": 1}
@@ -64,7 +44,7 @@ class TestMetricsRegistry:
 
     def test_names_sorted_union(self):
         registry = MetricsRegistry()
-        registry.gauge("b")
+        registry.probe("b", lambda: 0)
         registry.counter("a")
         registry.probe("c", lambda: 0)
         assert registry.names() == ["a", "b", "c"]
@@ -73,8 +53,6 @@ class TestMetricsRegistry:
         registry = NullMetricsRegistry()
         assert not registry.enabled
         registry.counter("x").inc(100)
-        registry.gauge("y").set(5)
-        registry.histogram("z").observe(1.0)
         registry.probe("p", lambda: 1)
         assert registry.snapshot() == {}
 

@@ -14,7 +14,7 @@ from repro.sim import Simulator
 from repro.stats.latency import percentile
 from repro.stats.timeseries import RateSeries
 from repro.tc.classifier import MatchSpec
-from repro.units import parse_rate, parse_size
+from repro.units import parse_rate
 
 # ----------------------------------------------------------------------
 # Token bucket invariants
@@ -173,10 +173,6 @@ class TestParserProperties:
     def test_rate_parse_scales_correctly(self, value, suffix):
         factor = {"bit": 1, "kbit": 1e3, "mbit": 1e6, "gbit": 1e9}[suffix]
         assert parse_rate(f"{value}{suffix}") == value * factor
-
-    @given(value=st.integers(min_value=1, max_value=10**6))
-    def test_size_bare_bytes(self, value):
-        assert parse_size(str(value)) == value
 
 
 class TestStatsProperties:

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ProcessError, SimulationError
-from repro.sim import Simulator, AllOf, AnyOf
-from repro.sim.process import ProcessInterrupt
+from repro.sim import Simulator
 
 
 class TestScheduling:
@@ -203,21 +202,6 @@ class TestProcesses:
         with pytest.raises(ProcessError):
             sim.process(lambda: None)
 
-    def test_interrupt_wakes_process(self):
-        sim = Simulator()
-        log = []
-
-        def sleeper():
-            try:
-                yield 100.0
-            except ProcessInterrupt as intr:
-                log.append(("interrupted", intr.cause, sim.now))
-
-        proc = sim.process(sleeper())
-        sim.schedule(1.0, proc.interrupt, "hurry")
-        sim.run()
-        assert log == [("interrupted", "hurry", 1.0)]
-
     def test_waiting_on_plain_event(self):
         sim = Simulator()
         gate = sim.event()
@@ -234,40 +218,6 @@ class TestProcesses:
 
 
 class TestCompositeEvents:
-    def test_all_of_collects_values_in_order(self):
-        sim = Simulator()
-        results = []
-
-        def waiter():
-            values = yield AllOf(sim, [sim.timeout(0.2, "slow"), sim.timeout(0.1, "fast")])
-            results.append((sim.now, values))
-
-        sim.process(waiter())
-        sim.run()
-        assert results == [(0.2, ["slow", "fast"])]
-
-    def test_all_of_empty_triggers_immediately(self):
-        sim = Simulator()
-        ev = AllOf(sim, [])
-        assert ev.triggered and ev.value == []
-
-    def test_any_of_returns_first(self):
-        sim = Simulator()
-        results = []
-
-        def waiter():
-            winner = yield AnyOf(sim, [sim.timeout(0.5, "a"), sim.timeout(0.2, "b")])
-            results.append((sim.now, winner))
-
-        sim.process(waiter())
-        sim.run()
-        assert results == [(0.2, (1, "b"))]
-
-    def test_any_of_empty_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [])
-
     def test_event_double_trigger_rejected(self):
         sim = Simulator()
         ev = sim.event()

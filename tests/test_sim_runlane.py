@@ -120,12 +120,6 @@ class TestPushRunOrdering:
                 (0.1, print, ()),
             ])
 
-    def test_extend_cancelled_run_rejected(self):
-        sim = Simulator()
-        run = sim._queue.push_run([(0.1, print, ())])
-        run.cancel()
-        with pytest.raises(SimulationError):
-            sim._queue.extend_run(run, [(0.2, print, ())])
 
 
 class TestMergeRun:
@@ -260,7 +254,7 @@ class TestRunCancellation:
         sim = Simulator()
         log = []
         run = EventRun()
-        sim._queue.extend_run(run, [
+        sim._queue.merge_run(run, [
             (0.1, log.append, ("a",)),
             (0.1, run.cancel, ()),
             (0.1, log.append, ("never",)),
@@ -309,17 +303,17 @@ class TestRunHorizonAndStep:
         assert sim.step() is False
 
     def test_extend_while_in_flight_rearms_the_train(self):
-        # Feed the run from one of its own items: the appended tail
-        # must keep draining within the same lane.
+        # Feed the run from its own last pending item: the appended
+        # tail must keep draining within the same lane.
         sim = Simulator()
         log = []
         run = EventRun()
 
         def feed():
             log.append("head")
-            sim._queue.extend_run(run, [(0.3, log.append, ("tail",))])
+            sim._queue.merge_run(run, [(0.3, log.append, ("tail",))])
 
-        sim._queue.extend_run(run, [(0.1, feed, ())])
+        sim._queue.merge_run(run, [(0.1, feed, ())])
         sim.run()
         assert log == ["head", "tail"]
 
@@ -425,21 +419,6 @@ class _RefSim:
         heappush(self._heap, (head[0], head[1], run))
         run.queued = True
         run.key = (head[0], head[1])
-
-    def extend_run(self, run, entries):
-        if run.cancelled:
-            raise SimulationError("cannot extend a cancelled run")
-        items = run.items
-        last = items[-1][0] if items else None
-        for time, _fn, _args in entries:
-            if last is not None and time < last:
-                raise SimulationError("not time-sorted")
-            last = time
-        for time, fn, args in entries:
-            items.append((time, next(self._counter), fn, args))
-        self._live += len(entries)
-        if entries and not run.queued and not run.executing:
-            self._arm(run)
 
     def merge_run(self, run, entries):
         if run.cancelled:
@@ -572,9 +551,6 @@ class _Kernel:
     def new_run(self):
         return EventRun()
 
-    def extend_run(self, run, train):
-        self.queue.extend_run(run, train)
-
     def merge_run(self, run, train):
         self.queue.merge_run(run, train)
 
@@ -649,9 +625,6 @@ class _Tape:
             if kind == "merge":
                 _, r, form, offset, items = op
                 model.merge_run(self.runs[r % len(self.runs)], self._train(items, form, offset))
-            elif kind == "extend":
-                _, r, items = op
-                model.extend_run(self.runs[r % len(self.runs)], self._train(items, "entries", 0.0))
             elif kind == "push":
                 _, form, offset, items = op
                 self.runs.append(model.push_run(self._train(items, form, offset)))
@@ -678,7 +651,6 @@ def _ops(depth):
             st.just("merge"), st.integers(0, 4),
             st.sampled_from(["entries", "shared"]), st.sampled_from([0.0, 0.25]), items,
         ),
-        st.tuples(st.just("extend"), st.integers(0, 4), items),
         st.tuples(
             st.just("push"), st.sampled_from(["entries", "shared"]),
             st.sampled_from([0.0, 0.25]), items,
@@ -713,15 +685,14 @@ def _play(model, program, phases):
 
 
 class TestRunLaneMatchesFlatReference:
-    """Generated schedules mixing ``push_run``, ``extend_run`` and
-    ``merge_run`` (shared-args cursors with an offset, and per-item
-    entries; from set-up and from inside executing items), heap and
-    zero-delay events with exact-time ties, cancelled events, run
-    cancels from a timer and from inside an item, horizon splits and
-    ``step()``: the cursor lane must match the flat reference in
-    callback order, ``now``, ``events_executed``, ``pending_events``,
-    and every run's ``len`` and ``next_time`` at each callback and
-    after each phase."""
+    """Generated schedules mixing ``push_run`` and ``merge_run``
+    (shared-args cursors with an offset, and per-item entries; from
+    set-up and from inside executing items), heap and zero-delay
+    events with exact-time ties, cancelled events, run cancels from a
+    timer and from inside an item, horizon splits and ``step()``: the
+    cursor lane must match the flat reference in callback order,
+    ``now``, ``events_executed``, ``pending_events``, and every run's
+    ``len`` and ``next_time`` at each callback and after each phase."""
 
     @settings(max_examples=300, deadline=None)
     @given(program=st.lists(_ops(2), min_size=1, max_size=6), phases=_PHASES)

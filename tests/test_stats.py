@@ -8,36 +8,11 @@ from repro.stats import (
     LatencySummary,
     RateSeries,
     Table,
-    TimeSeries,
     WindowedRate,
     jitter,
     percentile,
     summarize_latencies,
 )
-
-
-class TestTimeSeries:
-    def test_append_and_value_at(self):
-        ts = TimeSeries()
-        ts.append(1.0, 10.0)
-        ts.append(2.0, 20.0)
-        assert ts.value_at(1.5) == 10.0
-        assert ts.value_at(2.0) == 20.0
-        assert ts.value_at(0.5, default=-1.0) == -1.0
-
-    def test_out_of_order_rejected(self):
-        ts = TimeSeries()
-        ts.append(2.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.append(1.0, 1.0)
-
-    def test_slice(self):
-        ts = TimeSeries()
-        for t in range(5):
-            ts.append(float(t), float(t * 10))
-        times, values = ts.slice(1.0, 3.0)
-        assert list(times) == [1.0, 2.0]
-        assert list(values) == [10.0, 20.0]
 
 
 class TestRateSeries:
@@ -265,14 +240,3 @@ class TestReport:
         table = Table("t", ["a", "b"])
         with pytest.raises(ValueError):
             table.add_row(1)
-
-
-class TestFormatSeries:
-    def test_one_line_per_sample(self):
-        from repro.stats import format_series
-
-        text = format_series("App0", [(5.0, 1.23), (10.0, 4.56)], value_unit="G")
-        lines = text.splitlines()
-        assert lines[0] == "App0:"
-        assert "5.00s" in lines[1] and "1.23G" in lines[1]
-        assert "10.00s" in lines[2]

@@ -38,47 +38,12 @@ class TestParseRate:
             units.parse_rate("")
 
 
-class TestParseSize:
-    def test_plain_bytes(self):
-        assert units.parse_size("1514") == 1514
-
-    def test_b_suffix(self):
-        assert units.parse_size("64b") == 64
-
-    def test_kilobytes_binary(self):
-        assert units.parse_size("2k") == 2048
-
-    def test_megabytes(self):
-        assert units.parse_size("1mb") == 1024 * 1024
-
-    def test_unknown_suffix(self):
-        with pytest.raises(ParseError):
-            units.parse_size("5lightyears")
-
-
-class TestParseTime:
-    def test_seconds(self):
-        assert units.parse_time("1.5s") == 1.5
-
-    def test_milliseconds(self):
-        assert units.parse_time("10ms") == pytest.approx(0.01)
-
-    def test_microseconds(self):
-        assert units.parse_time("250us") == pytest.approx(250e-6)
-
-    def test_bare_number_is_seconds(self):
-        assert units.parse_time("3") == 3.0
-
-
 class TestFormatting:
     def test_format_rate_gbit(self):
         assert units.format_rate(40e9) == "40.00Gbit"
 
     def test_format_rate_small(self):
         assert units.format_rate(500.0) == "500bit"
-
-    def test_format_size(self):
-        assert units.format_size(1536) == "1.50KiB"
 
     def test_format_time_us(self):
         assert units.format_time(161.01e-6) == "161.010us"
@@ -98,9 +63,3 @@ class TestLineRateMath:
 
     def test_wire_bits_includes_overhead(self):
         assert units.wire_bits(64) == (64 + 20) * 8
-
-    def test_goodput_ratio_below_one(self):
-        assert 0 < units.goodput_ratio(64) < 1
-
-    def test_goodput_ratio_monotonic_in_size(self):
-        assert units.goodput_ratio(1518) > units.goodput_ratio(64)
