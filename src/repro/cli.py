@@ -194,7 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument("--workers", type=int, default=1,
                       help="worker processes (0 = run inline; default 1)")
     crun.add_argument("--timeout", type=float, default=None,
-                      help="per-task wall-clock budget in seconds")
+                      help="per-task wall-clock budget in seconds "
+                           "(needs --workers 1 or more)")
     crun.add_argument(
         "--set", action="append", default=[], metavar="KEY=V1,V2",
         help="override a grid axis, e.g. --set seed=11,12 or "
@@ -628,15 +629,17 @@ def _split_grid_values(text: str) -> List[str]:
 
 
 def _coerce_value(text: str) -> Any:
-    """Best-effort literal parse (ints, floats, lists, strings).
+    """Best-effort literal parse (ints, floats, lists, tuples, strings).
     ``nan`` and ``inf`` are no Python literals but read as floats, in a
-    bracketed list too, so the finiteness check sees them."""
+    bracketed list or parenthesised tuple too, so the finiteness check
+    sees them."""
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
         pass
-    if text.startswith("[") and text.endswith("]"):
-        return [_coerce_value(item) for item in _split_grid_values(text[1:-1])]
+    if text[:1] + text[-1:] in ("[]", "()"):
+        items = [_coerce_value(item) for item in _split_grid_values(text[1:-1])]
+        return items if text[0] == "[" else tuple(items)
     try:
         return float(text)
     except ValueError:

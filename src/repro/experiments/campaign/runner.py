@@ -16,7 +16,8 @@ recomputes only what changed; every terminal task streams one JSONL
 record to the manifest (see :mod:`.manifest`).
 
 ``workers=0`` runs tasks inline in the calling process — no isolation
-or timeouts, but convenient under a debugger.
+and no deadline, so a timeout is rejected there — but convenient under
+a debugger.
 """
 
 from __future__ import annotations
@@ -146,6 +147,13 @@ class CampaignRunner:
         if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
             raise CampaignError(
                 f"timeout must be a positive, finite number of seconds, got {timeout}"
+            )
+        if timeout is not None and workers == 0:
+            # An inline task runs in this process and cannot be killed
+            # at a deadline; accepting the budget would ignore it.
+            raise CampaignError(
+                "--timeout needs worker processes: with workers=0 tasks run "
+                "inline and have no deadline"
             )
         self.workers = workers
         self.timeout = timeout

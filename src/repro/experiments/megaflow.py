@@ -71,8 +71,9 @@ class MegaflowResult:
     """One measured megaflow run (exact counts deterministic per seed)."""
 
     perf: HotpathResult
-    #: Distinct flows generated (five-tuples are collision-free far
-    #: beyond this scale — see the workload's flow-mint scheme).
+    #: Distinct flows generated: a workload's five-tuples repeat only
+    #: after 2^30 flows (16,384 ephemeral ports on each of 2^16 source
+    #: hosts; see ``TraceWorkload._mint_flow``).
     flows: int
     flows_completed: int
     delivered: int

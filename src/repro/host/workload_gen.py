@@ -24,6 +24,12 @@ Two generation engines share one statistical model (DESIGN.md §12):
   lazily from per-window ledgers, so observation memory stays at one
   window regardless of flow count.
 
+Both engines mint a flow's five-tuple the same way, without a random
+draw. Each source host ``10.<vf>.<hi>.<lo>`` opens 16,384 consecutive
+flows, one per IANA ephemeral port (49152-65535), so a block of flows
+shares one address string and every workload shares one tuple of port
+ints: a flow retains its five-tuple and nothing else.
+
 Presets (:data:`WORKLOAD_PRESETS`) give the three motivating app types
 distinct mixes; :class:`TraceWorkload` drives one app's flow process.
 """
@@ -37,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..net.flow import PROTO_TCP, FiveTuple
 from ..net.packet import Packet, PacketFactory
@@ -129,6 +135,12 @@ class _WindowLedger:
 #: an in-window elephant flow allocates).
 _MAX_CHAIN = 1 << 20
 
+#: The IANA ephemeral ports (RFC 6335, 49152-65535) as one tuple of
+#: ints that every trace workload's five-tuples share: a source host
+#: opens one flow per port. The first mint builds it, not the import:
+#: the fabric and the CLI import this module but mint no trace flow.
+_port_ints: Tuple[int, ...] = ()
+
 
 class TraceWorkload:
     """Poisson flow arrivals with bounded-Pareto sizes for one app.
@@ -188,7 +200,12 @@ class TraceWorkload:
         self._started_base = 0
         self._completed_base = 0
         self._offered_base = 0
-        self._flow_seq = 0
+        # Flow identities (see _mint_flow): the current source host's
+        # address, the hosts opened so far, and the host's remaining
+        # ports, empty until the first mint.
+        self._src_ip = ""
+        self._hosts = 0
+        self._ports: Iterator[int] = iter(())
         self._psize = profile.packet_size
         self._gap = profile.packet_size * 8.0 / profile.flow_rate_limit_bps
         # Bounded-Pareto inverse-CDF constants: each is the exact float
@@ -198,7 +215,6 @@ class TraceWorkload:
         self._pareto = (
             hi ** a, lo ** a, (hi * lo) ** a, -1.0 / a, int(lo), int(hi)
         )
-        self._src_prefix = f"10.{vf_index}."
         # Batched-engine state.
         self._ledgers: "deque[_WindowLedger]" = deque()
         #: Active pacing cursors: [next_instant, packets_left, flow,
@@ -266,17 +282,36 @@ class TraceWorkload:
         return lo if x < lo else x
 
     def _mint_flow(self) -> FiveTuple:
-        self._flow_seq += 1
-        seq = self._flow_seq
+        """The next flow's five-tuple, the only object a flow allocates.
+
+        The current source host opens its flows on the ephemeral ports
+        in order, reading the shared port ints; the flow after its last
+        port opens the next host (:meth:`_open_host`). A ``(host,
+        port)`` pair repeats only after 2^16 hosts × 2^14 ports = 2^30
+        flows. Destination, port 5001 and TCP are fixed, and the mint
+        draws no random number.
+        """
+        port = next(self._ports, None)
+        if port is None:
+            port = self._open_host()
         # tuple.__new__ skips the named tuple's Python-level __new__;
         # the fields are FiveTuple's, proto included.
-        return tuple.__new__(FiveTuple, (
-            f"{self._src_prefix}{(seq >> 8) & 0xFF}.{seq & 0xFF}",
-            self.dst_ip,
-            10_000 + (seq % 50_000),
-            5001,
-            PROTO_TCP,
-        ))
+        return tuple.__new__(
+            FiveTuple, (self._src_ip, self.dst_ip, port, 5001, PROTO_TCP)
+        )
+
+    def _open_host(self) -> int:
+        """Start the next block of flows on source host
+        ``10.<vf>.<hi>.<lo>`` (hosts numbered from 1, the 16-bit host
+        number wrapping); returns the block's first port."""
+        global _port_ints
+        if not _port_ints:
+            _port_ints = tuple(range(49152, 65536))
+        self._hosts += 1
+        host = self._hosts & 0xFFFF
+        self._src_ip = f"10.{self.vf_index}.{host >> 8}.{host & 0xFF}"
+        self._ports = iter(_port_ints)
+        return next(self._ports)
 
     # ------------------------------------------------------------------
     # tallies (ledger-folded in batched mode, plain bases otherwise)

@@ -280,6 +280,12 @@ class TestRunnerPool:
         with pytest.raises(CampaignError, match="timeout"):
             CampaignRunner(workers=1, timeout=timeout)
 
+    def test_inline_timeout_rejected(self):
+        # Inline tasks run in the calling process and cannot be killed
+        # at a deadline: an accepted budget would be ignored silently.
+        with pytest.raises(CampaignError, match="--timeout"):
+            CampaignRunner(workers=0, timeout=0.2)
+
 
 # ----------------------------------------------------------------------
 # CLI
@@ -340,6 +346,14 @@ class TestCampaignCli:
         assert overrides["sizes"] == [[1518, 512]]  # one list-valued point
         assert overrides["name"] == ["abc"]
 
+    def test_parenthesised_value_coerces_to_a_tuple(self):
+        from repro.cli import _coerce_value
+
+        assert _coerce_value("(0.1,2)") == (0.1, 2)
+        value = _coerce_value("(0.1,nan)")
+        assert isinstance(value, tuple) and value[0] == 0.1
+        assert value[1] != value[1]  # NaN
+
     def test_set_flag_errors(self):
         from repro.cli import _parse_set_overrides
 
@@ -358,13 +372,15 @@ class TestCampaignCli:
         ["--set", "smoke_sleep.seconds=0.01,-inf"],
         ["--set", "seconds=1e999"],
         ["--set", "seconds=[0.1,nan]"],
+        ["--set", "seconds=(0.1,nan)"],
+        ["--set", "seconds=(inf,)"],
     ])
     def test_run_rejects_non_finite_floats(self, tmp_path, capsys, monkeypatch, flags):
         # argparse's float() and the --set parser accept NaN and
         # infinities; unchecked, a NaN duration never ends a simulation.
         # They are rejected before any task starts, as by fv simulate. A
-        # bracketed grid point is coerced element by element, so a NaN
-        # inside it is caught too.
+        # bracketed or parenthesised grid point is coerced element by
+        # element, so a NaN inside it is caught too.
         monkeypatch.chdir(tmp_path)
         code = main([
             "campaign", "run", "smoke_sleep", "--workers", "0", "--no-cache",
@@ -386,6 +402,19 @@ class TestCampaignCli:
         assert code == 1
         out, err = capsys.readouterr()
         assert "fv: error:" in err and "timeout" in err
+        assert "task(s)" not in out
+        assert not (tmp_path / "m.jsonl").exists()
+
+    def test_run_rejects_timeout_inline(self, tmp_path, capsys, monkeypatch):
+        # Accepted, the budget would not stop the 1.0 s task.
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "campaign", "run", "smoke_sleep", "--workers", "0", "--no-cache",
+            "--manifest", "m.jsonl", "--timeout", "0.2", "--set", "seconds=1.0",
+        ])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "fv: error:" in err and "--timeout" in err
         assert "task(s)" not in out
         assert not (tmp_path / "m.jsonl").exists()
 

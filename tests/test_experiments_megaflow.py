@@ -13,6 +13,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.flow_cache import ExactMatchCache
 from repro.experiments import megaflow
 
 
@@ -209,3 +210,31 @@ def test_absorbed_miss_walks_the_rules_once():
     # One walk per lookup, plus the real path's own walk for a packet
     # the lane pre-walked but then spilled.
     assert walks == lookups + unabsorbed_prewalks
+
+
+def _churn_counts(fluid):
+    """Run the short megaflow trace through a 256-entry EMC, so the
+    cache evicts as it does late in the benchmark's run; returns the
+    cache counters with the sink's tallies, and the misses the fluid
+    lane absorbed."""
+    sim, nic, sink, _ = megaflow.build(duration=DURATION, fluid=fluid)
+    cache = nic.app.labeler.cache = ExactMatchCache(256)
+    sim.run(until=DURATION * megaflow.DEFAULT_SETUP.scale * 1.02)
+    return {
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "evictions": cache.evictions,
+        "delivered": sink.total_packets,
+        "dropped": nic.dropped,
+        "app_bytes": sink.bytes,
+    }, nic._fluid.miss_absorbed if nic._fluid is not None else 0
+
+
+def test_emc_eviction_churn_matches_with_fluid_lane_off():
+    """EMC evictions under the fluid lane's classify replay: every
+    counter and tally matches the run with the lane off."""
+    on, absorbed = _churn_counts(True)
+    off, off_absorbed = _churn_counts(False)
+    assert on == off
+    assert on["evictions"] > 1_000 and on["hits"] > 0
+    assert absorbed > 1_000 and off_absorbed == 0

@@ -7,6 +7,7 @@ import pytest
 
 from repro.host import TraceWorkload, WORKLOAD_PRESETS, WorkloadProfile
 from repro.net import FiveTuple, PacketFactory
+from repro.net.flow import PROTO_TCP
 from repro.sim import Simulator
 
 
@@ -296,3 +297,58 @@ class TestWindowBuild:
         packets = len(ledger.times)
         assert packets >= 20_000
         assert retained < 48 * packets, retained / packets
+
+
+class TestFlowMint:
+    """A flow's five-tuple is the only object the mint allocates: each
+    source host opens 16,384 flows, one per ephemeral port, and every
+    workload reads its port ints from one shared tuple (DESIGN.md §12)."""
+
+    @staticmethod
+    def workload(vf_index=0):
+        return TraceWorkload(
+            Simulator(seed=1), "app", WORKLOAD_PRESETS["kvs"], 1e6,
+            lambda p: True, PacketFactory(), vf_index=vf_index, duration=0.0,
+        )
+
+    def test_flows_pairwise_distinct_past_old_wrap_points(self):
+        # 2^17 + 5 flows pass the 2^16 address wrap and the 50,000-port
+        # wrap of the earlier per-flow scheme, and eight host blocks.
+        workload = self.workload()
+        flows = [workload._mint_flow() for _ in range((1 << 17) + 5)]
+        assert len(set(flows)) == len(flows)
+        assert {(f.dst_ip, f.dst_port, f.proto) for f in flows} == {
+            ("10.0.1.1", 5001, PROTO_TCP)
+        }
+        assert flows[0].src_ip == "10.0.0.1"
+        assert flows[-1].src_ip == "10.0.0.9"
+
+    def test_addresses_and_ports_are_shared_objects(self):
+        first, second = self.workload(), self.workload(vf_index=3)
+        flows = [first._mint_flow() for _ in range(16_385)]
+        other = [second._mint_flow() for _ in range(3)]
+        # One address string per host block.
+        assert flows[0].src_ip is flows[16_383].src_ip
+        assert flows[16_384].src_ip == "10.0.0.2"
+        assert other[0].src_ip == "10.3.0.1"
+        # One port int per ephemeral port, across blocks and workloads.
+        assert flows[16_384].src_port is flows[0].src_port
+        assert other[2].src_port is flows[2].src_port
+        ports = [f.src_port for f in flows]
+        assert ports[:16_384] == list(range(49152, 65536))
+        assert all(49152 <= port <= 65535 for port in ports)
+
+    def test_a_flow_retains_at_most_100_bytes(self):
+        workload = self.workload()
+        workload._mint_flow()  # opens the first host, shared state built
+        n = 20_000
+        flows = [None] * n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(n):
+                flows[i] = workload._mint_flow()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 100 * n, retained / n
